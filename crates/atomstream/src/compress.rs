@@ -6,7 +6,7 @@
 //! value-level and bit-level sparsity have been fully exploited.
 
 use crate::atom::AtomBits;
-use crate::decompose::{atomize_signed, atomize_unsigned};
+use crate::decompose::{atomize_signed, for_each_atom, unsigned_magnitude};
 use crate::error::AtomError;
 use crate::flatten::{FlatActivation, FlatWeight};
 use crate::stream::{ActEntry, ActivationStream, WeightEntry, WeightStream};
@@ -22,25 +22,48 @@ pub fn compress_activations(
     atom_bits: AtomBits,
 ) -> Result<ActivationStream, AtomError> {
     let mut entries = Vec::new();
+    let squeezed = compress_activations_into(flat, a_bits, atom_bits, &mut entries)?;
+    record_act_compression(flat.len() as u64, entries.len() as u64, squeezed);
+    Ok(ActivationStream::from_entries(entries))
+}
+
+/// The silent core of [`compress_activations`]: appends the atoms of
+/// `flat` to `out` and returns the number of zero atoms squeezed out,
+/// recording no observability events. Callers that compress once and
+/// consume later report the squeeze through [`record_act_compression`].
+///
+/// # Errors
+/// Exactly those of [`compress_activations`]; on error `out` holds the
+/// atoms of the values before the offending one.
+pub(crate) fn compress_activations_into(
+    flat: &[FlatActivation],
+    a_bits: u8,
+    atom_bits: AtomBits,
+    out: &mut Vec<ActEntry>,
+) -> Result<u64, AtomError> {
+    let start = out.len();
     for f in flat {
-        for atom in atomize_unsigned(f.value, a_bits, atom_bits)? {
-            entries.push(ActEntry {
+        let mag = unsigned_magnitude(f.value, a_bits)?;
+        for_each_atom(mag, false, atom_bits, |atom| {
+            out.push(ActEntry {
                 atom,
                 x: f.x,
                 y: f.y,
-            });
-        }
+            })
+        });
     }
     // Squeeze statistics: every value occupies `slots` atom positions in
     // the dense layout; whatever compression did not emit was a zero atom.
     let slots_total = flat.len() as u64 * atom_bits.slots(a_bits) as u64;
-    obs::record(obs::Event::CompressActValues, flat.len() as u64);
-    obs::record(obs::Event::CompressActAtoms, entries.len() as u64);
-    obs::record(
-        obs::Event::CompressActZeroAtomsSqueezed,
-        slots_total.saturating_sub(entries.len() as u64),
-    );
-    Ok(ActivationStream::from_entries(entries))
+    Ok(slots_total.saturating_sub((out.len() - start) as u64))
+}
+
+/// Records the `compress.act_*` counters for `values` compressed values
+/// that produced `atoms` atoms and squeezed out `squeezed` zero atoms.
+pub(crate) fn record_act_compression(values: u64, atoms: u64, squeezed: u64) {
+    obs::record(obs::Event::CompressActValues, values);
+    obs::record(obs::Event::CompressActAtoms, atoms);
+    obs::record(obs::Event::CompressActZeroAtomsSqueezed, squeezed);
 }
 
 /// Compresses flattened weights into a condensed atom stream in the

@@ -9,11 +9,11 @@
 //! output is extracted from full-convolution space at the end.
 
 use crate::atom::AtomBits;
-use crate::compress::{compress_activations, compress_weights};
+use crate::compress::{compress_activations, compress_weights, record_act_compression};
 use crate::error::AtomError;
-use crate::flatten::{flatten_kernel_channel, flatten_tile, flatten_tile_into};
+use crate::flatten::{flatten_kernel_channel, flatten_tile};
 use crate::intersect::{intersect, FullConvAcc, IntersectConfig, IntersectStats};
-use crate::kernel::{intersect_planned, CscScratch, WorkSlot};
+use crate::kernel::{intersect_planned, CscScratch, PreparedChannel, WorkSlot};
 use crate::stream::WeightStream;
 use qnn::conv::ConvGeometry;
 use qnn::error::QnnError;
@@ -361,15 +361,15 @@ pub fn conv2d_csc_streams(
 /// `(c, h, w, o, k, out_h, out_w)`.
 type RunDims = (usize, usize, usize, usize, usize, usize, usize);
 
-/// Validates the run-phase inputs shared by every kernel variant and
-/// returns `(c, h, w, o, k, out_h, out_w)`.
+/// Validates the run-phase inputs shared by every kernel variant against
+/// the feature-map shape `(c, h, w)` and returns
+/// `(c, h, w, o, k, out_h, out_w)`.
 fn validate_run(
-    fmap: &Tensor3,
+    (c, h, w): (usize, usize, usize),
     weights: &WeightStreamSet,
     geom: ConvGeometry,
     cfg: &CscConfig,
 ) -> Result<RunDims, AtomError> {
-    let (c, h, w) = fmap.shape();
     let (o, i, k) = (
         weights.out_channels(),
         weights.in_channels(),
@@ -395,12 +395,15 @@ fn validate_run(
 /// The production run phase: [`conv2d_csc_streams`] with an explicit,
 /// reusable [`CscScratch`] arena.
 ///
+/// Exactly [`prepare_activations`] for the channels whose weight stream is
+/// non-empty, followed by [`conv2d_csc_prepared`], both in `scratch`.
 /// Retaining the arena across calls (one arena per layer, as the inference
 /// engine's `Session` does) amortizes weight-plan compilation and makes
 /// steady-state inference allocate zero accumulator planes per input; see
 /// [`CscScratch`]. Results — output, [`CscStats`] and recorded
 /// observability events — are byte-identical to
-/// [`conv2d_csc_streams_reference`] on every input, with any arena state.
+/// [`conv2d_csc_streams_reference`] on every input, with any arena state
+/// and at any thread count.
 ///
 /// # Errors
 /// Exactly the error surface of [`conv2d_csc_streams`].
@@ -412,112 +415,253 @@ pub fn conv2d_csc_streams_with(
     cfg: &CscConfig,
     scratch: &CscScratch,
 ) -> Result<CscOutput, AtomError> {
+    // Validate before preparing, so a bad geometry reports the same error
+    // as the reference kernel, ahead of any tiling error.
+    validate_run(fmap.shape(), weights, geom, cfg)?;
+    let prepared = prepare_activations(fmap, a_bits, cfg, scratch, |ci| {
+        !weights.stream(ci).is_empty()
+    })?;
+    conv2d_csc_prepared(&prepared, weights, geom, cfg, scratch)
+}
+
+/// One feature map's activation side, prepared once for any number of
+/// weight sets: per needed input channel the tile occupancy, and every
+/// occupied tile flattened and compressed (the Atomizer's work). Under
+/// output-channel sharding every core consumes the same all-gathered
+/// activation, so the fleet prepares each layer input once and runs every
+/// shard against it.
+///
+/// Made by [`prepare_activations`] and consumed by [`conv2d_csc_prepared`].
+/// The buffers come from the arena's pool and return to it on drop.
+/// Preparing records no observability events: each consumer records the
+/// `compress.act_*` counters of the channels it intersects, so counters
+/// are the same as if every consumer had compressed for itself.
+#[derive(Debug)]
+pub struct PreparedActivations<'a> {
+    scratch: &'a CscScratch,
+    shape: (usize, usize, usize),
+    a_bits: BitWidth,
+    cfg: CscConfig,
+    channels: Vec<PreparedChannel>,
+}
+
+impl PreparedActivations<'_> {
+    /// Shape `(c, h, w)` of the prepared feature map.
+    pub fn shape(&self) -> (usize, usize, usize) {
+        self.shape
+    }
+
+    /// Activation bit-width the feature map was compressed at.
+    pub fn a_bits(&self) -> BitWidth {
+        self.a_bits
+    }
+}
+
+impl Drop for PreparedActivations<'_> {
+    fn drop(&mut self) {
+        self.scratch
+            .checkin_prepared(std::mem::take(&mut self.channels));
+    }
+}
+
+/// Step 1 of the run phase: scans, flattens and compresses the occupied
+/// tiles of every input channel for which `needed` holds, into buffers
+/// pooled in `scratch`. Channels are prepared in parallel.
+///
+/// A compression error (a value that does not fit `a_bits`) is kept with
+/// its channel and surfaces from [`conv2d_csc_prepared`] when a consumer
+/// reaches that channel, so the error order is the same as the one-step
+/// kernel's.
+///
+/// # Errors
+/// Returns [`QnnError::EmptyDimension`] for a zero tile extent.
+pub fn prepare_activations<'a>(
+    fmap: &Tensor3,
+    a_bits: BitWidth,
+    cfg: &CscConfig,
+    scratch: &'a CscScratch,
+    needed: impl Fn(usize) -> bool + Sync,
+) -> Result<PreparedActivations<'a>, AtomError> {
+    if cfg.tile_h == 0 || cfg.tile_w == 0 {
+        return Err(QnnError::EmptyDimension("tile extent").into());
+    }
+    let shape = fmap.shape();
+    let work: Vec<(usize, PreparedChannel)> = scratch
+        .checkout_prepared(shape.0)
+        .into_iter()
+        .enumerate()
+        .collect();
+    let channels = work
+        .into_par_iter()
+        .map(|(ci, mut channel)| {
+            channel.fill(fmap, ci, a_bits.bits(), cfg, needed(ci));
+            channel
+        })
+        .collect();
+    Ok(PreparedActivations {
+        scratch,
+        shape,
+        a_bits,
+        cfg: *cfg,
+        channels,
+    })
+}
+
+/// Splits `0..n` into `parts` contiguous, near-equal ranges (the first
+/// `n % parts` one longer), in order.
+fn chunk_ranges(n: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
+    let (base, extra) = (n / parts, n % parts);
+    let mut start = 0;
+    (0..parts)
+        .map(|i| {
+            let len = base + usize::from(i < extra);
+            let range = start..start + len;
+            start += len;
+            range
+        })
+        .collect()
+}
+
+/// Step 2 of the run phase: intersects a prepared feature map against one
+/// weight stream set, in `scratch` (which may differ from the arena that
+/// prepared the activations).
+///
+/// The input channels split into one contiguous run per worker thread.
+/// Each worker accumulates its run into one checked-out accumulator, and
+/// the runs merge in channel order. `i64` plane addition commutes, so the
+/// output, [`CscStats`] and recorded observability events are
+/// byte-identical at any thread count, and equal to
+/// [`conv2d_csc_streams_reference`] on the same feature map.
+///
+/// # Errors
+/// The error surface of [`conv2d_csc_streams`], with compression errors
+/// reported from the prepared channel that hit them.
+///
+/// # Panics
+/// Panics if the activations were prepared under a different granularity
+/// or tiling than `cfg`, or without a channel this weight set needs.
+pub fn conv2d_csc_prepared(
+    prepared: &PreparedActivations<'_>,
+    weights: &WeightStreamSet,
+    geom: ConvGeometry,
+    cfg: &CscConfig,
+    scratch: &CscScratch,
+) -> Result<CscOutput, AtomError> {
     let _span = obs::span("csc.conv2d");
-    let (c, h, w, o, k, out_h, out_w) = validate_run(fmap, weights, geom, cfg)?;
+    let (c, h, w, o, k, out_h, out_w) = validate_run(prepared.shape, weights, geom, cfg)?;
+    assert_eq!(
+        (cfg.atom_bits, cfg.tile_h, cfg.tile_w),
+        (
+            prepared.cfg.atom_bits,
+            prepared.cfg.tile_h,
+            prepared.cfg.tile_w
+        ),
+        "activations prepared under a different granularity or tiling"
+    );
     let icfg = IntersectConfig {
         multipliers: cfg.multipliers,
     };
 
-    // Input channels are independent until the final accumulation, so fan
-    // them out: each channel intersects into its own checked-out scratch
-    // accumulator, merged afterwards in channel order. i64 plane addition
-    // commutes, so the merged result is bit-identical to the sequential
-    // single-accumulator path regardless of the thread count.
-    let per_channel: Vec<Result<(Option<WorkSlot>, CscStats), AtomError>> = (0..c)
+    // One channel into the worker's accumulator, checked out on first use.
+    let channel = |ci: usize, slot: &mut Option<WorkSlot>, stats: &mut CscStats| {
+        // Online integrity monitor: reject a weight stream whose bits
+        // changed since compilation before it can pollute the accumulate
+        // buffer.
+        weights.verify_channel(ci)?;
+        // The static stream was compiled offline; only its size is
+        // accounted here so stats match the compile-inline path.
+        let w_stream = weights.stream(ci);
+        stats.weight_atoms += w_stream.len() as u64;
+        if w_stream.is_empty() {
+            return Ok(());
+        }
+        let act = &prepared.channels[ci];
+        assert!(act.needed, "channel {ci} was not prepared");
+        // Pre-intersection filter, activation side: an entirely zero
+        // channel is skipped before any accumulator is touched (merging
+        // its zero planes would be the identity).
+        if !act.occupied {
+            return Ok(());
+        }
+        let slot = match slot {
+            Some(slot) => slot,
+            None => slot.insert(scratch.checkout(o, h, w, k)?),
+        };
+        // Static side: the channel's weight stream compiled into (or
+        // fetched from) the plan cache, keyed by its checksum so the
+        // verified bits and the executed plan can never diverge.
+        let (fh, fw) = slot.acc.plane_shape();
+        let plan_slot = scratch.plan_slot(ci);
+        let mut plan_guard = plan_slot.lock().expect("plan slot lock");
+        let plan = plan_guard.prepare(w_stream, weights.checksum(ci), k, o, fh, fw)?;
+        plan.planes_into(&mut slot.dirty);
+
+        // Online phase: only the occupied tiles, compressed once by the
+        // preparing step.
+        record_act_compression(act.values, act.atoms(), act.squeezed);
+        stats.act_values += act.values;
+        stats.act_atoms += act.atoms();
+        stats.tiles_processed += act.tile_count();
+        for (y0, x0, atoms) in act.tiles() {
+            let s = intersect_planned(plan, atoms, icfg, &mut slot.acc, y0, x0, &mut slot.folded);
+            stats.intersect.merge(&s);
+        }
+        match &act.error {
+            Some(e) => Err(e.clone()),
+            None => Ok(()),
+        }
+    };
+
+    // Each worker runs its channels in order and keeps the first error, so
+    // every channel's counters are recorded as in the per-channel kernel.
+    let workers = rayon::current_num_threads().clamp(1, c.max(1));
+    let per_worker: Vec<(Option<WorkSlot>, CscStats, Option<AtomError>)> = chunk_ranges(c, workers)
         .into_par_iter()
-        .map(|ci| {
-            let mut stats = CscStats::default();
-            // Online integrity monitor: reject a weight stream whose bits
-            // changed since compilation before it can pollute the
-            // accumulate buffer.
-            weights.verify_channel(ci)?;
-            // The static stream was compiled offline; only its size is
-            // accounted here so stats match the compile-inline path.
-            let w_stream = weights.stream(ci);
-            stats.weight_atoms += w_stream.len() as u64;
-            if w_stream.is_empty() {
-                return Ok((None, stats));
-            }
-
-            // Pre-intersection filter, activation side: one pass over the
-            // channel plane yields the per-tile occupancy bitmap. An
-            // entirely zero channel is skipped before any accumulator is
-            // even checked out (merging its zero planes would be the
-            // identity).
-            let mut slot = scratch.checkout(o, h, w, k)?;
-            slot.occ
-                .scan(fmap.channel(ci), h, w, cfg.tile_h, cfg.tile_w);
-            if slot.occ.total() == 0 {
-                scratch.checkin(slot);
-                return Ok((None, stats));
-            }
-
-            // Static side: the channel's weight stream compiled into (or
-            // fetched from) the plan cache, keyed by its checksum so the
-            // verified bits and the executed plan can never diverge.
-            let (fh, fw) = slot.acc.plane_shape();
-            let plan_slot = scratch.plan_slot(ci);
-            let mut plan_guard = plan_slot.lock().expect("plan slot lock");
-            let plan = plan_guard.prepare(w_stream, weights.checksum(ci), k, o, fh, fw)?;
-            plan.planes_into(&mut slot.dirty);
-
-            // Online phase: walk only the occupied tiles; the Atomizer
-            // squeezes zero atoms out of each tile's non-zero activations
-            // on the fly, into reused scratch buffers.
-            for (ty, y0) in (0..h).step_by(cfg.tile_h).enumerate() {
-                for (tx, x0) in (0..w).step_by(cfg.tile_w).enumerate() {
-                    if !slot.occ.occupied(ty, tx) {
-                        continue;
-                    }
-                    flatten_tile_into(fmap, ci, y0, x0, cfg.tile_h, cfg.tile_w, &mut slot.flat);
-                    let a_stream = compress_activations(&slot.flat, a_bits.bits(), cfg.atom_bits)?;
-                    stats.act_values += a_stream.value_count() as u64;
-                    stats.act_atoms += a_stream.len() as u64;
-                    stats.tiles_processed += 1;
-                    let s = intersect_planned(
-                        plan,
-                        &a_stream,
-                        icfg,
-                        &mut slot.acc,
-                        y0,
-                        x0,
-                        &mut slot.folded,
-                    );
-                    stats.intersect.merge(&s);
+        .map(|range| {
+            let (mut slot, mut stats, mut error) = (None, CscStats::default(), None);
+            for ci in range {
+                if let Err(e) = channel(ci, &mut slot, &mut stats) {
+                    error.get_or_insert(e);
                 }
             }
-            drop(plan_guard);
-            Ok((Some(slot), stats))
+            (slot, stats, error)
         })
         .collect();
 
-    // Merge in channel order into the first non-empty channel's slot —
+    // Merge in channel order into the first worker's accumulator —
     // plane-granular, so only the planes actually written move.
     let mut stats = CscStats::default();
     let mut base: Option<WorkSlot> = None;
-    for result in per_channel {
-        let (slot, channel_stats) = result?;
-        stats.merge(&channel_stats);
-        if let Some(slot) = slot {
-            match base.as_mut() {
-                None => base = Some(slot),
-                Some(b) => {
-                    b.acc.merge_planes_from(&slot.acc, &slot.dirty);
-                    b.dirty.extend_from_slice(&slot.dirty);
-                    scratch.checkin(slot);
-                }
+    let mut error = None;
+    for (slot, worker_stats, worker_error) in per_worker {
+        stats.merge(&worker_stats);
+        if let Some(e) = worker_error {
+            error.get_or_insert(e);
+        }
+        let Some(mut slot) = slot else { continue };
+        slot.dedup_dirty();
+        match base.as_mut() {
+            None => base = Some(slot),
+            Some(b) => {
+                b.acc.merge_planes_from(&slot.acc, &slot.dirty);
+                b.dirty.extend_from_slice(&slot.dirty);
+                scratch.checkin(slot);
             }
         }
     }
 
-    let output = match &base {
-        Some(b) => b.acc.extract(geom, out_h, out_w)?,
-        None => AccTensor3::zeros(o, out_h, out_w)?,
+    let output = match (error, &base) {
+        (Some(e), _) => Err(e),
+        (None, Some(b)) => b.acc.extract(geom, out_h, out_w).map_err(AtomError::from),
+        (None, None) => AccTensor3::zeros(o, out_h, out_w).map_err(AtomError::from),
     };
     if let Some(b) = base {
         scratch.checkin(b);
     }
-    Ok(CscOutput { output, stats })
+    Ok(CscOutput {
+        output: output?,
+        stats,
+    })
 }
 
 /// The reference run phase: the straight-line value-major kernel
@@ -541,7 +685,7 @@ pub fn conv2d_csc_streams_reference(
     cfg: &CscConfig,
 ) -> Result<CscOutput, AtomError> {
     let _span = obs::span("csc.conv2d");
-    let (c, h, w, o, k, out_h, out_w) = validate_run(fmap, weights, geom, cfg)?;
+    let (c, h, w, o, k, out_h, out_w) = validate_run(fmap.shape(), weights, geom, cfg)?;
     let icfg = IntersectConfig {
         multipliers: cfg.multipliers,
     };

@@ -40,6 +40,13 @@ pub fn atomize_unsigned(
     value_bits: u8,
     atom_bits: AtomBits,
 ) -> Result<Vec<Atom>, AtomError> {
+    let mag = unsigned_magnitude(v, value_bits)?;
+    Ok(atomize_magnitude(mag, false, atom_bits))
+}
+
+/// The range check of [`atomize_unsigned`]: `v` as an unsigned magnitude
+/// that fits `value_bits`.
+pub(crate) fn unsigned_magnitude(v: i32, value_bits: u8) -> Result<u32, AtomError> {
     if v < 0 {
         return Err(AtomError::NegativeUnsigned(v as i64));
     }
@@ -49,30 +56,41 @@ pub fn atomize_unsigned(
             bits: value_bits,
         });
     }
-    Ok(atomize_magnitude(v as u32, false, atom_bits))
+    Ok(v as u32)
 }
 
-fn atomize_magnitude(mut mag: u32, negative: bool, atom_bits: AtomBits) -> Vec<Atom> {
-    let mask = (1u32 << atom_bits.bits()) - 1;
+fn atomize_magnitude(mag: u32, negative: bool, atom_bits: AtomBits) -> Vec<Atom> {
     let mut atoms = Vec::new();
+    for_each_atom(mag, negative, atom_bits, |a| atoms.push(a));
+    atoms
+}
+
+/// Emits the non-zero atoms of `mag` from least- to most-significant
+/// shift; the atom with no non-zero bits above it carries the `last` flag.
+/// The allocation-free core of every atomization.
+pub(crate) fn for_each_atom(
+    mut mag: u32,
+    negative: bool,
+    atom_bits: AtomBits,
+    mut emit: impl FnMut(Atom),
+) {
+    let g = atom_bits.bits();
+    let mask = (1u32 << g) - 1;
     let mut shift = 0u8;
     while mag != 0 {
         let a = mag & mask;
+        let rest = mag >> g;
         if a != 0 {
-            atoms.push(Atom {
+            emit(Atom {
                 mag: a as u8,
                 shift,
                 negative,
-                last: false,
+                last: rest == 0,
             });
         }
-        mag >>= atom_bits.bits();
-        shift += atom_bits.bits();
+        mag = rest;
+        shift += g;
     }
-    if let Some(last) = atoms.last_mut() {
-        last.last = true;
-    }
-    atoms
 }
 
 /// Reassembles a value from its atoms: `Σ ±mag·2^shift`.

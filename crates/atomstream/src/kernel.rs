@@ -4,12 +4,12 @@
 //!
 //! Three structural levels separate this kernel from the reference:
 //!
-//! 1. **Zero-alloc scratch arena** ([`CscScratch`]) — per-channel
-//!    [`FullConvAcc`] planes, the folded-value vec and the flattened-tile
-//!    vec are pooled and reused across convolutions. Planes are returned to
-//!    the pool with a *dirty-region reset* (only the output-channel planes
-//!    the weight plan actually wrote are zeroed), so steady-state inference
-//!    allocates no accumulator planes per input.
+//! 1. **Zero-alloc scratch arena** ([`CscScratch`]) — per-worker
+//!    [`FullConvAcc`] planes, the folded-value vec and the prepared
+//!    activation buffers are pooled and reused across convolutions. Planes
+//!    are returned to the pool with a *dirty-region reset* (only the
+//!    output-channel planes the weight plans actually wrote are zeroed), so
+//!    steady-state inference allocates no accumulator planes per input.
 //! 2. **Bitmap / inner-join pre-intersection filter** — a one-pass
 //!    `TileOccupancy` scan of the channel plane produces a per-tile
 //!    occupancy bitmap; empty tiles (and entirely zero channels) are
@@ -45,6 +45,9 @@
 //!   flattened stream is empty — exactly the tiles the reference skips.
 //!   An all-zero channel contributes an all-zero accumulator in the
 //!   reference, which is the identity under plane merge.
+//! - *Shared accumulators*: one worker accumulates a contiguous run of
+//!   input channels into one plane set instead of one per channel; by the
+//!   same commutativity the per-worker sums merge to the per-channel sums.
 //!
 //! The dual-kernel differential oracle in `bench`'s `diffcheck` plus the
 //! determinism suites enforce this equivalence on every run.
@@ -52,12 +55,16 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::compress::compress_activations_into;
+use crate::conv_csc::CscConfig;
 use crate::error::AtomError;
+use crate::flatten::{flatten_tile_into, FlatActivation};
 use crate::intersect::{
     shl_guarded, validate_weight_coords, FullConvAcc, IntersectConfig, IntersectStats,
 };
-use crate::stream::{ActivationStream, WeightStream};
+use crate::stream::{ActEntry, WeightStream};
 use qnn::error::QnnError;
+use qnn::tensor::Tensor3;
 
 /// A weight stream compiled into the fast kernel's execution form: atoms
 /// regrouped per output channel, signs and shifts folded into signed
@@ -296,12 +303,12 @@ pub(crate) struct FoldedValues {
 impl FoldedValues {
     /// Folds `acts` (value coordinates relative to a tile whose plane rows
     /// are `fw` wide), reusing this struct's buffers.
-    fn fold(&mut self, acts: &ActivationStream, fw: usize) {
+    fn fold(&mut self, acts: &[ActEntry], fw: usize) {
         self.voff.clear();
         self.vsum.clear();
         self.span = 0;
         let mut vsum: i64 = 0;
-        for a in acts.entries() {
+        for a in acts {
             vsum += shl_guarded(a.atom.mag as i64, a.atom.shift as u32);
             if a.atom.last {
                 let off = a.y as usize * fw + a.x as usize;
@@ -336,7 +343,7 @@ impl FoldedValues {
 /// reference kernel.
 pub(crate) fn intersect_planned(
     plan: &WeightPlan,
-    acts: &ActivationStream,
+    acts: &[ActEntry],
     cfg: IntersectConfig,
     acc: &mut FullConvAcc,
     origin_y: usize,
@@ -378,34 +385,151 @@ pub(crate) fn intersect_planned(
     stats
 }
 
-/// One checked-out unit of reusable per-channel working state: the
-/// accumulator planes, the dirty-plane list, and the flatten/fold buffers.
+/// One checked-out unit of reusable per-worker working state: the
+/// accumulator planes, the dirty-plane list, and the fold buffers.
 #[derive(Debug)]
 pub(crate) struct WorkSlot {
-    /// The channel's full-convolution accumulator (all-zero at checkout).
+    /// The worker's full-convolution accumulator (all-zero at checkout),
+    /// shared by every input channel the worker intersects.
     pub(crate) acc: FullConvAcc,
-    /// Output-channel planes written since checkout (possibly with
-    /// duplicates; sorted and deduplicated at check-in).
+    /// Output-channel planes written since checkout. Every channel appends
+    /// its plan's planes, so the list repeats planes; it must be sorted and
+    /// deduplicated before [`FullConvAcc::merge_planes_from`], which adds a
+    /// plane once per listing (check-in does the same before zeroing).
     pub(crate) dirty: Vec<u16>,
-    /// Reusable flatten buffer for one tile's non-zero values.
-    pub(crate) flat: Vec<crate::flatten::FlatActivation>,
     /// Reusable folded-value arrays for the inner loop.
     pub(crate) folded: FoldedValues,
-    /// Reusable per-channel tile occupancy.
-    pub(crate) occ: TileOccupancy,
+}
+
+impl WorkSlot {
+    /// Sorts and deduplicates the dirty list.
+    pub(crate) fn dedup_dirty(&mut self) {
+        self.dirty.sort_unstable();
+        self.dirty.dedup();
+    }
+}
+
+/// One input channel of a prepared activation: the channel's occupied
+/// tiles, flattened and compressed once, ready for any number of weight
+/// plans to intersect.
+#[derive(Debug, Default)]
+pub(crate) struct PreparedChannel {
+    /// Occupied tiles in row-major tile order as `(y0, x0, end)`: a tile's
+    /// atoms are `entries[previous end..end]`.
+    tiles: Vec<(usize, usize, usize)>,
+    /// The atoms of every prepared tile, back to back.
+    entries: Vec<ActEntry>,
+    /// Non-zero activation values compressed, summed over tiles.
+    pub(crate) values: u64,
+    /// Zero atoms squeezed out, summed over tiles.
+    pub(crate) squeezed: u64,
+    /// Whether a consumer asked for this channel.
+    pub(crate) needed: bool,
+    /// Whether the channel holds any non-zero activation.
+    pub(crate) occupied: bool,
+    /// The compression error of the first tile that failed; `tiles` then
+    /// holds exactly the tiles before it.
+    pub(crate) error: Option<AtomError>,
+    /// Reusable flatten buffer for one tile's non-zero values.
+    flat: Vec<FlatActivation>,
+    /// Reusable tile occupancy of the channel plane.
+    occ: TileOccupancy,
+}
+
+impl PreparedChannel {
+    /// Refills this channel from plane `ci` of `fmap` under `cfg`'s tiling:
+    /// one occupancy scan, then flatten + compress of every occupied tile.
+    /// A channel nobody `needed` is left empty and unoccupied.
+    pub(crate) fn fill(
+        &mut self,
+        fmap: &Tensor3,
+        ci: usize,
+        a_bits: u8,
+        cfg: &CscConfig,
+        needed: bool,
+    ) {
+        self.tiles.clear();
+        self.entries.clear();
+        self.values = 0;
+        self.squeezed = 0;
+        self.needed = needed;
+        self.occupied = false;
+        self.error = None;
+        if !needed {
+            return;
+        }
+        let (_, h, w) = fmap.shape();
+        self.occ
+            .scan(fmap.channel(ci), h, w, cfg.tile_h, cfg.tile_w);
+        if self.occ.total() == 0 {
+            return;
+        }
+        self.occupied = true;
+        for (ty, y0) in (0..h).step_by(cfg.tile_h).enumerate() {
+            for (tx, x0) in (0..w).step_by(cfg.tile_w).enumerate() {
+                if !self.occ.occupied(ty, tx) {
+                    continue;
+                }
+                flatten_tile_into(fmap, ci, y0, x0, cfg.tile_h, cfg.tile_w, &mut self.flat);
+                let start = self.entries.len();
+                match compress_activations_into(
+                    &self.flat,
+                    a_bits,
+                    cfg.atom_bits,
+                    &mut self.entries,
+                ) {
+                    Ok(squeezed) => {
+                        self.values += self.flat.len() as u64;
+                        self.squeezed += squeezed;
+                        self.tiles.push((y0, x0, self.entries.len()));
+                    }
+                    Err(e) => {
+                        self.entries.truncate(start);
+                        self.error = Some(e);
+                        return;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Atoms across every prepared tile.
+    pub(crate) fn atoms(&self) -> u64 {
+        self.entries.len() as u64
+    }
+
+    /// Prepared tiles.
+    pub(crate) fn tile_count(&self) -> u64 {
+        self.tiles.len() as u64
+    }
+
+    /// The prepared tiles as `(y0, x0, atoms)`, in row-major tile order.
+    pub(crate) fn tiles(&self) -> impl Iterator<Item = (usize, usize, &[ActEntry])> {
+        let ends = self.tiles.iter().map(|&(_, _, end)| end);
+        let starts = std::iter::once(0).chain(ends);
+        self.tiles
+            .iter()
+            .zip(starts)
+            .map(|(&(y0, x0, end), start)| (y0, x0, &self.entries[start..end]))
+    }
 }
 
 /// The reusable scratch arena threaded through
 /// [`crate::conv_csc::conv2d_csc_streams_with`]: compiled weight plans
-/// (one per input channel) plus a pool of `WorkSlot`s whose accumulator
-/// planes are recycled across convolutions.
+/// (one per input channel), a pool of `WorkSlot`s whose accumulator planes
+/// are recycled across convolutions, and a pool of prepared-activation
+/// buffers.
 ///
-/// A `CscScratch` retained across [`conv2d_csc_streams_with`] calls (as
-/// the inference engine's `Session` does, one arena per layer) makes
-/// steady-state inference allocate **zero** accumulator planes per input:
-/// after warm-up every checkout is served from the pool, observable via
-/// [`CscScratch::plane_allocations`]. A fresh arena per call degrades
-/// gracefully to the reference kernel's allocation behaviour.
+/// A convolution checks out one accumulator per worker thread, not one per
+/// input channel: each worker intersects a contiguous run of channels into
+/// its own planes, and the runs merge in channel order. A `CscScratch`
+/// retained across [`conv2d_csc_streams_with`] calls (as the inference
+/// engine's `Session` does, one arena per layer, and the sharded `Fleet`
+/// does, one per shard slot and layer) therefore makes steady-state
+/// inference allocate **zero** accumulator planes per input: after warm-up
+/// every checkout is served from the pool, observable via
+/// [`CscScratch::plane_allocations`]. A fresh arena per call still works
+/// but pays for plan compilation and plane allocation on every call.
 ///
 /// Pool invariant: every pooled accumulator is all-zero. Check-in restores
 /// it by zeroing only the dirty planes — O(planes written), not O(pool).
@@ -415,6 +539,7 @@ pub(crate) struct WorkSlot {
 pub struct CscScratch {
     plans: Mutex<Vec<Arc<Mutex<PlanSlot>>>>,
     slots: Mutex<Vec<WorkSlot>>,
+    prepared: Mutex<Vec<Vec<PreparedChannel>>>,
     plane_allocs: AtomicU64,
 }
 
@@ -477,21 +602,38 @@ impl CscScratch {
         Ok(WorkSlot {
             acc,
             dirty: Vec::new(),
-            flat: Vec::new(),
             folded: FoldedValues::default(),
-            occ: TileOccupancy::default(),
         })
     }
 
     /// Returns a slot to the pool, restoring the all-zero invariant by
     /// zeroing exactly the dirty planes.
     pub(crate) fn checkin(&self, mut slot: WorkSlot) {
-        slot.dirty.sort_unstable();
-        slot.dirty.dedup();
+        slot.dedup_dirty();
         slot.acc.zero_planes(&slot.dirty);
         slot.dirty.clear();
         debug_assert!(slot.acc.is_all_zero(), "dirty-region reset incomplete");
         self.slots.lock().expect("slot pool lock").push(slot);
+    }
+
+    /// Checks out pooled prepared-channel buffers, `channels` of them.
+    pub(crate) fn checkout_prepared(&self, channels: usize) -> Vec<PreparedChannel> {
+        let mut buffers = self
+            .prepared
+            .lock()
+            .expect("prepared pool lock")
+            .pop()
+            .unwrap_or_default();
+        buffers.resize_with(channels, PreparedChannel::default);
+        buffers
+    }
+
+    /// Returns prepared-channel buffers to the pool. Called from `Drop`,
+    /// so a poisoned pool drops the buffers instead of panicking.
+    pub(crate) fn checkin_prepared(&self, buffers: Vec<PreparedChannel>) {
+        if let Ok(mut pool) = self.prepared.lock() {
+            pool.push(buffers);
+        }
     }
 }
 
@@ -502,6 +644,7 @@ mod tests {
     use crate::compress::{compress_activations, compress_weights};
     use crate::flatten::{FlatActivation, FlatWeight};
     use crate::intersect::intersect;
+    use crate::stream::ActivationStream;
 
     fn acts(values: &[(i32, u16, u16)], bits: u8) -> ActivationStream {
         let flat: Vec<FlatActivation> = values
@@ -547,7 +690,15 @@ mod tests {
             p
         };
         let mut folded = FoldedValues::default();
-        let got = intersect_planned(&plan, a, cfg, &mut fast, origin.0, origin.1, &mut folded);
+        let got = intersect_planned(
+            &plan,
+            a.entries(),
+            cfg,
+            &mut fast,
+            origin.0,
+            origin.1,
+            &mut folded,
+        );
         assert_eq!(fast, reference);
         assert_eq!(got, expected);
     }

@@ -20,7 +20,10 @@ use crate::pipeline::{LayerTrace, PipelineLayer};
 use crate::ppu::{PostProcessor, PpuOutput};
 use crate::weightbuf::WeightBufferImage;
 use atomstream::compress::compress_activations;
-use atomstream::conv_csc::{conv2d_csc_streams_with, CscConfig, CscStats, WeightStreamSet};
+use atomstream::conv_csc::{
+    conv2d_csc_prepared, conv2d_csc_streams_with, CscConfig, CscStats, PreparedActivations,
+    WeightStreamSet,
+};
 use atomstream::error::AtomError;
 use atomstream::flatten::flatten_tile;
 use atomstream::intersect::{
@@ -237,10 +240,12 @@ impl CompiledLayer {
 
     /// Runs this layer's per-input work: activation compression, stream
     /// intersection, PPU and optional pooling. The scratch arena supplies
-    /// the accumulator planes and per-channel weight plans; a persistent
-    /// arena (one per layer inside a [`Session`]) makes the steady state
-    /// allocation-free, while a transient `&CscScratch::new()` reproduces
-    /// the pre-arena behavior exactly.
+    /// the prepared-activation buffers, the accumulator planes and the
+    /// per-channel weight plans. A persistent arena (one per layer inside a
+    /// [`Session`], one per shard slot and layer inside a
+    /// [`crate::fleet::Fleet`]) makes the steady state allocation-free; a
+    /// transient `&CscScratch::new()` gives the same bytes but recompiles
+    /// every weight plan and allocates fresh planes on each call.
     pub(crate) fn execute(
         &self,
         csc: &CscConfig,
@@ -249,6 +254,25 @@ impl CompiledLayer {
     ) -> Result<(Tensor3, LayerTrace), AtomError> {
         let out =
             conv2d_csc_streams_with(act, &self.weights, self.geom, self.a_bits, csc, scratch)?;
+        self.post_process(csc, &out.output, out.stats)
+    }
+
+    /// [`CompiledLayer::execute`] against activations another caller
+    /// already prepared, so several shards of one layer share one
+    /// flatten + compress pass. Byte-identical to `execute` on the same
+    /// input, counters included.
+    ///
+    /// # Panics
+    /// Panics if `act` was prepared at a different activation width, or
+    /// without a channel this layer's weights need.
+    pub(crate) fn execute_prepared(
+        &self,
+        csc: &CscConfig,
+        act: &PreparedActivations<'_>,
+        scratch: &CscScratch,
+    ) -> Result<(Tensor3, LayerTrace), AtomError> {
+        assert_eq!(act.a_bits(), self.a_bits, "activation width mismatch");
+        let out = conv2d_csc_prepared(act, &self.weights, self.geom, csc, scratch)?;
         self.post_process(csc, &out.output, out.stats)
     }
 

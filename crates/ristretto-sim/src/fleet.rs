@@ -35,6 +35,8 @@ use crate::engine::{CompiledLayer, CompiledNetwork, EngineError, Session, ShardV
 use crate::fault::{splitmix64, FaultStats};
 use crate::noc::{Noc, NocReport};
 use atomstream::atom::AtomBits;
+use atomstream::conv_csc::prepare_activations;
+use atomstream::kernel::CscScratch;
 use qnn::tensor::Tensor3;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -224,24 +226,22 @@ pub struct FleetRun {
 /// model consumes. Zero-atom squeezing means a value contributes one atom
 /// per non-zero `atom_bits` chunk of its magnitude.
 pub fn act_atoms_per_channel(act: &Tensor3, a_bits: u8, atom_bits: AtomBits) -> Vec<u64> {
-    let (c, h, w) = act.shape();
     let g = atom_bits.bits() as u32;
     let slots = atom_bits.slots(a_bits) as u32;
     let mask = (1u32 << g) - 1;
-    let mut atoms = vec![0u64; c];
-    for (ci, count) in atoms.iter_mut().enumerate() {
-        for y in 0..h {
-            for x in 0..w {
-                let v = act.get(ci, y, x).unsigned_abs();
-                for s in 0..slots {
-                    if (v >> (s * g)) & mask != 0 {
-                        *count += 1;
-                    }
-                }
-            }
-        }
-    }
-    atoms
+    let atoms_of = |v: i32| {
+        let v = v.unsigned_abs();
+        (0..slots).filter(|s| (v >> (s * g)) & mask != 0).count() as u64
+    };
+    (0..act.channels())
+        .map(|ci| {
+            act.channel(ci)
+                .iter()
+                .filter(|&&v| v != 0)
+                .map(|&v| atoms_of(v))
+                .sum()
+        })
+        .collect()
 }
 
 /// Order-sensitive digest over a tensor's values.
@@ -273,6 +273,11 @@ impl GroupState {
 
 /// The sharded fleet simulator: a compiled network, a validated
 /// [`FleetConfig`], the static [`ShardPlan`] and per-slot shard views.
+///
+/// Like a [`Session`], a fleet owns its scratch arenas, so weight plans
+/// compile once and accumulator planes are reused across runs: one arena
+/// per (shard slot, layer) for the static shards, and one per layer for
+/// the activation that every shard of the layer consumes.
 #[derive(Debug)]
 pub struct Fleet {
     net: Arc<CompiledNetwork>,
@@ -281,6 +286,13 @@ pub struct Fleet {
     /// One view per shard slot within a replica group; slots hold
     /// `Arc<CompiledLayer>` so per-run reshard state can share them.
     shards: Vec<Vec<Option<Arc<CompiledLayer>>>>,
+    /// `shard_scratch[slot][layer]`: the static shard's arena, shared by
+    /// the replica groups (which run one input at a time). Empty when
+    /// `group_size == 1`. Resharded layers use a transient arena instead.
+    shard_scratch: Vec<Vec<CscScratch>>,
+    /// Per layer: the arena holding the prepared activation every shard of
+    /// the layer intersects. Empty when `group_size == 1`.
+    prepare_scratch: Vec<CscScratch>,
     /// Unsharded session driving `group_size == 1` groups through the
     /// plain engine path.
     session: Session,
@@ -311,14 +323,40 @@ impl Fleet {
                     .collect())
             })
             .collect::<Result<Vec<_>, EngineError>>()?;
+        let arenas = || -> Vec<CscScratch> {
+            if group_size > 1 {
+                net.layers().iter().map(|_| CscScratch::new()).collect()
+            } else {
+                Vec::new()
+            }
+        };
+        let shard_scratch = (0..group_size).map(|_| arenas()).collect();
+        let prepare_scratch = arenas();
         let session = Session::new(net.clone());
         Ok(Self {
             net,
             cfg,
             plan,
             shards,
+            shard_scratch,
+            prepare_scratch,
             session,
         })
+    }
+
+    /// Total accumulator-plane allocations performed by this fleet's
+    /// retained arenas (the unsharded session's and every static shard's)
+    /// since creation — the fleet twin of
+    /// [`Session::scratch_plane_allocations`]. After the first run at a
+    /// given thread count, further runs leave it unchanged.
+    pub fn scratch_plane_allocations(&self) -> u64 {
+        self.session.scratch_plane_allocations()
+            + self
+                .shard_scratch
+                .iter()
+                .flatten()
+                .map(CscScratch::plane_allocations)
+                .sum::<u64>()
     }
 
     /// The compiled network the fleet serves.
@@ -350,31 +388,35 @@ impl Fleet {
     }
 
     /// Eq 5 compute cycles of one shard layer on the measured activation
-    /// atom counts (`None` shard → 0).
+    /// atom counts (`None` shard → 0). `workloads` is a reused buffer.
     fn shard_cycles(
         &self,
         layer: Option<&CompiledLayer>,
         act_atoms: &[u64],
         input_layer: bool,
+        workloads: &mut Vec<ChannelWorkload>,
     ) -> u64 {
         let Some(layer) = layer else { return 0 };
-        let workloads: Vec<ChannelWorkload> = layer
-            .weight_atoms_per_channel()
-            .iter()
-            .enumerate()
-            .map(|(channel, &weight_atoms)| ChannelWorkload {
-                channel,
-                act_atoms: act_atoms[channel],
-                weight_atoms,
-            })
-            .collect();
+        workloads.clear();
+        workloads.extend(
+            layer
+                .weight_atoms_per_channel()
+                .iter()
+                .zip(act_atoms)
+                .enumerate()
+                .map(|(channel, (&weight_atoms, &act_atoms))| ChannelWorkload {
+                    channel,
+                    act_atoms,
+                    weight_atoms,
+                }),
+        );
         let strategy = if input_layer {
             BalanceStrategy::None
         } else {
             self.net.config().balancing
         };
         balance(
-            &workloads,
+            workloads,
             self.net.config().tiles,
             self.net.config().multipliers as u64,
             strategy,
@@ -423,11 +465,13 @@ impl Fleet {
         reshards: &mut u64,
     ) -> Result<(Tensor3, u64), EngineError> {
         let cfg = self.net.config();
+        let csc = self.net.csc_config();
         let mut act = input.clone();
         let mut latency = 0u64;
+        let mut workloads = Vec::new();
         for li in 0..self.net.layers().len() {
-            let atoms =
-                act_atoms_per_channel(&act, self.net.layers()[li].a_bits.bits(), cfg.atom_bits);
+            let a_bits = self.net.layers()[li].a_bits;
+            let atoms = act_atoms_per_channel(&act, a_bits.bits(), cfg.atom_bits);
             // Core deaths fire mid-layer: the aborted attempt's makespan is
             // paid, the group reshards, and the layer re-executes.
             if let Some(campaign) = self.cfg.core_deaths {
@@ -437,7 +481,10 @@ impl Fleet {
                 if !new_dead.is_empty() && new_dead.len() < state.alive_count() {
                     let aborted = (0..state.alive.len())
                         .filter(|&s| state.alive[s])
-                        .map(|s| self.shard_cycles(self.shard_layer(state, s, li), &atoms, li == 0))
+                        .map(|s| {
+                            let layer = self.shard_layer(state, s, li);
+                            self.shard_cycles(layer, &atoms, li == 0, &mut workloads)
+                        })
                         .max()
                         .unwrap_or(0);
                     latency += aborted;
@@ -453,6 +500,25 @@ impl Fleet {
                 }
             }
 
+            // Every alive shard consumes the same all-gathered activation,
+            // so a clean pass flattens and compresses it once, for the
+            // input channels some shard's weights need.
+            let prepared = match campaign {
+                Some(_) => None,
+                None => Some(prepare_activations(
+                    &act,
+                    a_bits,
+                    csc,
+                    &self.prepare_scratch[li],
+                    |ci| {
+                        (0..state.alive.len())
+                            .filter(|&s| state.alive[s])
+                            .filter_map(|s| self.shard_layer(state, s, li))
+                            .any(|l| l.weights().streams().get(ci).is_some_and(|w| !w.is_empty()))
+                    },
+                )?),
+            };
+
             // Execute every alive slot's shard, in slot order (each shard
             // parallelizes internally over channels).
             let mut slot_out: Vec<Option<Tensor3>> = vec![None; state.alive.len()];
@@ -464,24 +530,29 @@ impl Fleet {
                 let Some(layer) = self.shard_layer(state, slot, li) else {
                     continue;
                 };
-                let scratch = atomstream::kernel::CscScratch::new();
-                let (out, _trace, layer_faults) = match campaign
-                    .map(crate::fault::FaultInjector::new)
-                {
+                let (out, layer_faults) = match campaign {
                     None => {
-                        let (out, trace) = layer.execute(self.net.csc_config(), &act, &scratch)?;
-                        (out, trace, FaultStats::default())
+                        let prepared = prepared.as_ref().expect("a clean pass prepares");
+                        // A resharded layer runs in a transient arena: the
+                        // path is rare, and memory stays flat.
+                        let transient = CscScratch::new();
+                        let scratch = if state.overrides.contains_key(&(slot, li)) {
+                            &transient
+                        } else {
+                            &self.shard_scratch[slot][li]
+                        };
+                        let (out, _trace) = layer.execute_prepared(csc, prepared, scratch)?;
+                        (out, FaultStats::default())
                     }
-                    Some(inj) => layer.execute_with_faults(
-                        self.net.csc_config(),
-                        &act,
-                        &inj,
-                        li,
-                        cfg.acc_bits,
-                    )?,
+                    Some(campaign) => {
+                        let inj = crate::fault::FaultInjector::new(campaign);
+                        let (out, _trace, layer_faults) =
+                            layer.execute_with_faults(csc, &act, &inj, li, cfg.acc_bits)?;
+                        (out, layer_faults)
+                    }
                 };
                 faults.merge(&layer_faults);
-                compute[slot] = self.shard_cycles(Some(layer), &atoms, li == 0);
+                compute[slot] = self.shard_cycles(Some(layer), &atoms, li == 0, &mut workloads);
                 slot_out[slot] = Some(out);
                 obs::record(obs::Event::FleetShards, 1);
             }
@@ -541,6 +612,7 @@ impl Fleet {
         let mut act = input.clone();
         let mut latency = 0u64;
         let mut owner = core;
+        let mut workloads = Vec::new();
         for li in 0..self.net.layers().len() {
             if let Some(campaign) = self.cfg.core_deaths {
                 if alive[owner]
@@ -573,7 +645,12 @@ impl Fleet {
                 act_atoms_per_channel(&act, self.net.layers()[li].a_bits.bits(), cfg.atom_bits);
             let (next, _trace, layer_faults) = self.session.run_layer_with(li, &act, campaign)?;
             faults.merge(&layer_faults);
-            let cycles = self.shard_cycles(Some(&self.net.layers()[li]), &atoms, li == 0);
+            let cycles = self.shard_cycles(
+                Some(&self.net.layers()[li]),
+                &atoms,
+                li == 0,
+                &mut workloads,
+            );
             latency += cycles;
             *busy += cycles;
             core_load[owner] += cycles;
@@ -742,19 +819,15 @@ fn assemble(
         .expect("at least one slot produced output");
     let total_c: usize = channels.iter().map(Vec::len).sum();
     let mut next = Tensor3::zeros(total_c, h, w).map_err(atomstream::error::AtomError::from)?;
+    let plane = h * w;
     let mut slice_bits = vec![0u64; slot_out.len()];
     for (slot, out) in slot_out.iter().enumerate() {
         let Some(out) = out else { continue };
         for (local, &global) in channels[slot].iter().enumerate() {
-            for y in 0..h {
-                for x in 0..w {
-                    let v = out.get(local, y, x);
-                    if v != 0 {
-                        next.set(global, y, x, v);
-                        slice_bits[slot] += value_bits + COO_META_BITS;
-                    }
-                }
-            }
+            let src = out.channel(local);
+            next.as_mut_slice()[global * plane..(global + 1) * plane].copy_from_slice(src);
+            let nonzero = src.iter().filter(|&&v| v != 0).count() as u64;
+            slice_bits[slot] += nonzero * (value_bits + COO_META_BITS);
         }
     }
     Ok((next, slice_bits))
@@ -914,6 +987,90 @@ mod tests {
                 .collect();
             let stream = compress_activations(&flat, 8, AtomBits::B2).unwrap();
             assert_eq!(expected, stream.len() as u64, "channel {ci}");
+        }
+    }
+
+    #[test]
+    fn retained_arenas_reach_a_zero_allocation_steady_state() {
+        let (net, first) = compiled_and_input(31);
+        let (_, second) = compiled_and_input(37);
+        let session = Session::new(net.clone());
+        let reference = |input: &Tensor3| session.run(input).unwrap().output;
+        for strategy in [ShardStrategy::OutputChannel, ShardStrategy::Hybrid(2)] {
+            for threads in [1, 3] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                let fleet = Fleet::try_new(net.clone(), FleetConfig::new(4, strategy)).unwrap();
+                assert_eq!(fleet.scratch_plane_allocations(), 0);
+                let inputs = vec![first.clone(), second.clone()];
+                let run = pool.install(|| fleet.run(&inputs).unwrap());
+                let warm = fleet.scratch_plane_allocations();
+                assert!(warm > 0, "{strategy}: the shard arenas are in use");
+                // New inputs through warm arenas: no plane is allocated.
+                let swapped = vec![second.clone(), first.clone()];
+                let again = pool.install(|| fleet.run(&swapped).unwrap());
+                assert_eq!(
+                    fleet.scratch_plane_allocations(),
+                    warm,
+                    "{strategy} at {threads} threads"
+                );
+                assert_eq!(run.outputs, [reference(&first), reference(&second)]);
+                assert_eq!(again.outputs, [reference(&second), reference(&first)]);
+            }
+        }
+    }
+
+    /// The element-wise reassembly `assemble` replaced, kept as its oracle.
+    fn assemble_elementwise(
+        slot_out: &[Option<Tensor3>],
+        channels: &[Vec<usize>],
+        value_bits: u64,
+    ) -> (Tensor3, Vec<u64>) {
+        let (_, h, w) = slot_out.iter().flatten().next().unwrap().shape();
+        let total_c: usize = channels.iter().map(Vec::len).sum();
+        let mut next = Tensor3::zeros(total_c, h, w).unwrap();
+        let mut slice_bits = vec![0u64; slot_out.len()];
+        for (slot, out) in slot_out.iter().enumerate() {
+            let Some(out) = out else { continue };
+            for (local, &global) in channels[slot].iter().enumerate() {
+                for y in 0..h {
+                    for x in 0..w {
+                        let v = out.get(local, y, x);
+                        if v != 0 {
+                            next.set(global, y, x, v);
+                            slice_bits[slot] += value_bits + COO_META_BITS;
+                        }
+                    }
+                }
+            }
+        }
+        (next, slice_bits)
+    }
+
+    #[test]
+    fn assemble_matches_elementwise_reassembly() {
+        // Four slots over seven channels; slot 2 idles (more slots than
+        // channels in its share), slot 3 is dead.
+        let channels = vec![vec![0, 4], vec![1, 3, 6], vec![], vec![2, 5]];
+        let slot_out: Vec<Option<Tensor3>> = channels
+            .iter()
+            .enumerate()
+            .map(|(slot, group)| {
+                (!group.is_empty()).then(|| {
+                    Tensor3::from_fn(group.len(), 3, 5, |c, y, x| {
+                        ((slot * 11 + c * 7 + y * 3 + x) % 5) as i32 * 13
+                    })
+                    .unwrap()
+                })
+            })
+            .collect();
+        let mut dead = slot_out.clone();
+        dead[3] = None;
+        for outs in [&slot_out, &dead] {
+            let (next, bits) = assemble(outs, &channels, 8).unwrap();
+            assert_eq!((next, bits), assemble_elementwise(outs, &channels, 8));
         }
     }
 

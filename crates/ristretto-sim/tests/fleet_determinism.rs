@@ -4,9 +4,13 @@
 //! derived from those reports must respect their theoretical bounds.
 //! A core-death chaos case closes the loop: a fleet losing cores mid-run
 //! reshards deterministically and still reproduces the fault-free bytes.
+//! Sharded outputs are also checked against an inline dense reference,
+//! which shares no code with the CSC kernel.
 
+use qnn::conv::conv2d;
 use qnn::mini::MiniNetwork;
 use qnn::models::NetworkId;
+use qnn::pool::pool2d;
 use qnn::quant::BitWidth;
 use qnn::tensor::Tensor3;
 use qnn::workload::{ActivationProfile, WeightProfile, WorkloadGen};
@@ -193,4 +197,50 @@ fn core_death_chaos_reproduces_fault_free_bytes_at_any_thread_count() {
     );
     assert_eq!(runs[0].report.output_digest, clean.report.output_digest);
     assert!(runs[0].report.latency_cycles > clean.report.latency_cycles);
+}
+
+/// The dense reference of a whole network: per layer the dense
+/// convolution, the PPU's requantize + ReLU, then the optional pool.
+fn dense_reference(model: &NetworkModel, input: &Tensor3) -> Tensor3 {
+    model.layers.iter().fold(input.clone(), |act, l| {
+        let out = conv2d(&act, &l.kernels, l.geom)
+            .unwrap()
+            .requantize_relu(l.requant_shift, l.out_bits);
+        match l.pool {
+            Some((kind, window, stride, padding)) => {
+                pool2d(&out, kind, window, stride, padding).unwrap()
+            }
+            None => out,
+        }
+    })
+}
+
+/// Output-channel and hybrid sharding against the dense reference on all
+/// six mini networks. Comparing `Fleet` with `Session` alone would miss a
+/// kernel bug, since both run the same kernel.
+#[test]
+fn sharded_fleets_match_the_dense_reference_on_every_mini_network() {
+    for (i, id) in NetworkId::ALL.into_iter().enumerate() {
+        let mini = MiniNetwork::try_new(id).unwrap();
+        let mut gen = WorkloadGen::new(70 + i as u64);
+        let wp = WeightProfile::benchmark(BitWidth::W4);
+        let model = NetworkModel::from_mini(&mini, &mut gen, &wp).unwrap();
+        let (c, h, w) = model.input;
+        let inputs: Vec<Tensor3> = (0..2)
+            .map(|_| {
+                gen.activations(c, h, w, &ActivationProfile::new(BitWidth::W8))
+                    .unwrap()
+            })
+            .collect();
+        let want: Vec<Tensor3> = inputs.iter().map(|x| dense_reference(&model, x)).collect();
+        let net = compile(&model, &RistrettoConfig::paper_default()).unwrap();
+        for strategy in [ShardStrategy::OutputChannel, ShardStrategy::Hybrid(2)] {
+            let fleet = Fleet::try_new(net.clone(), FleetConfig::new(4, strategy)).unwrap();
+            // Twice, so the second pass runs on warm arenas.
+            for pass in 0..2 {
+                let run = fleet.run(&inputs).unwrap();
+                assert_eq!(run.outputs, want, "{} {strategy} pass {pass}", net.name());
+            }
+        }
+    }
 }

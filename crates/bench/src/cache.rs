@@ -1,15 +1,18 @@
 //! Caching of generated network statistics so `repro all` builds each
-//! `(network, policy, granularity)` workload once.
+//! `(network, policy, granularity, seed)` workload once.
 
 use qnn::models::NetworkId;
 use qnn::workload::{NetworkStats, PrecisionPolicy};
 use rayon::prelude::*;
 use std::collections::HashMap;
 
+/// What [`NetworkStats::generate`] is a function of.
+type Key = (NetworkId, PrecisionPolicy, u8, u64);
+
 /// Keyed cache of [`NetworkStats`].
 #[derive(Debug, Default)]
 pub struct StatsCache {
-    map: HashMap<(NetworkId, String, u8), NetworkStats>,
+    map: HashMap<Key, NetworkStats>,
 }
 
 impl StatsCache {
@@ -27,7 +30,7 @@ impl StatsCache {
         seed: u64,
     ) -> &NetworkStats {
         self.map
-            .entry((id, policy.label(), atom_bits))
+            .entry((id, policy, atom_bits, seed))
             .or_insert_with(|| NetworkStats::generate(id, policy, atom_bits, seed))
     }
 
@@ -40,28 +43,20 @@ impl StatsCache {
     /// fan-outs borrow-checkable.
     pub fn prefill(&mut self, keys: &[(NetworkId, PrecisionPolicy, u8)], seed: u64) {
         let _span = obs::span("cache.prefill");
-        let mut missing: Vec<(NetworkId, PrecisionPolicy, u8)> = Vec::new();
+        let mut missing: Vec<Key> = Vec::new();
         for &(id, policy, atom_bits) in keys {
-            if !self.map.contains_key(&(id, policy.label(), atom_bits))
-                && !missing
-                    .iter()
-                    .any(|&(i, p, b)| i == id && p.label() == policy.label() && b == atom_bits)
-            {
-                missing.push((id, policy, atom_bits));
+            let key = (id, policy, atom_bits, seed);
+            if !self.map.contains_key(&key) && !missing.contains(&key) {
+                missing.push(key);
             }
         }
-        let generated: Vec<((NetworkId, String, u8), NetworkStats)> = missing
+        let generated: Vec<(Key, NetworkStats)> = missing
             .into_par_iter()
-            .map(|(id, policy, atom_bits)| {
-                (
-                    (id, policy.label(), atom_bits),
-                    NetworkStats::generate(id, policy, atom_bits, seed),
-                )
+            .map(|key @ (id, policy, atom_bits, seed)| {
+                (key, NetworkStats::generate(id, policy, atom_bits, seed))
             })
             .collect();
-        for (key, stats) in generated {
-            self.map.insert(key, stats);
-        }
+        self.map.extend(generated);
     }
 
     /// Returns the stats for an already-generated workload. Unlike
@@ -71,12 +66,18 @@ impl StatsCache {
     /// # Panics
     /// Panics if the workload was never generated — experiments must
     /// [`StatsCache::prefill`] before fanning out.
-    pub fn peek(&self, id: NetworkId, policy: PrecisionPolicy, atom_bits: u8) -> &NetworkStats {
+    pub fn peek(
+        &self,
+        id: NetworkId,
+        policy: PrecisionPolicy,
+        atom_bits: u8,
+        seed: u64,
+    ) -> &NetworkStats {
         self.map
-            .get(&(id, policy.label(), atom_bits))
+            .get(&(id, policy, atom_bits, seed))
             .unwrap_or_else(|| {
                 panic!(
-                    "workload ({}, {}, {atom_bits}-bit atoms) was not prefilled",
+                    "workload ({}, {}, {atom_bits}-bit atoms, seed {seed}) was not prefilled",
                     id.name(),
                     policy.label()
                 )
@@ -112,6 +113,17 @@ mod tests {
     }
 
     #[test]
+    fn a_second_seed_gets_its_own_stats() {
+        let mut c = StatsCache::new();
+        let p = PrecisionPolicy::Uniform(BitWidth::W4);
+        let first = c.get(NetworkId::AlexNet, p, 2, 1).clone();
+        let second = c.get(NetworkId::AlexNet, p, 2, 2).clone();
+        assert_eq!(second, NetworkStats::generate(NetworkId::AlexNet, p, 2, 2));
+        assert_ne!(first, second);
+        assert_eq!(c.len(), 2);
+    }
+
+    #[test]
     fn prefill_matches_get() {
         let p = PrecisionPolicy::Uniform(BitWidth::W4);
         let mut on_demand = StatsCache::new();
@@ -121,7 +133,7 @@ mod tests {
         // Duplicate keys collapse to one generation.
         prefilled.prefill(&[(NetworkId::AlexNet, p, 2), (NetworkId::AlexNet, p, 2)], 1);
         assert_eq!(prefilled.len(), 1);
-        assert_eq!(*prefilled.peek(NetworkId::AlexNet, p, 2), expected);
+        assert_eq!(*prefilled.peek(NetworkId::AlexNet, p, 2, 1), expected);
     }
 
     #[test]
@@ -132,6 +144,7 @@ mod tests {
             NetworkId::AlexNet,
             PrecisionPolicy::Uniform(BitWidth::W4),
             2,
+            1,
         );
     }
 }

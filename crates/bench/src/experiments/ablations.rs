@@ -170,7 +170,7 @@ pub fn run_balance_networks(quick: bool, cache: &mut StatsCache) -> Vec<BalanceR
     let cache = &*cache;
     nets.par_iter()
         .map(|&net| {
-            let stats = cache.peek(net, policy, 2);
+            let stats = cache.peek(net, policy, 2, SEED);
             let cycles = |strategy| {
                 let cfg = RistrettoConfig::paper_default().with_balancing(strategy);
                 RistrettoSim::new(cfg)

@@ -61,7 +61,7 @@ pub fn run(quick: bool, cache: &mut StatsCache) -> Vec<Row> {
     items
         .into_par_iter()
         .map(|(net, policy)| {
-            let stats = cache.peek(net, policy, 2);
+            let stats = cache.peek(net, policy, 2, SEED);
             let r = sim.simulate_network(stats);
             let rns = sim_ns.simulate_network(stats);
             let b = bf.simulate_network(stats);

@@ -86,7 +86,7 @@ pub fn run_perf(quick: bool, cache: &mut StatsCache) -> Vec<PerfRow> {
             let mut inv_cycles_sum = 0.0;
             let mut n = 0.0;
             for &net in nets {
-                let stats = cache.peek(net, policy, bits);
+                let stats = cache.peek(net, policy, bits, SEED);
                 let r = sim.simulate_network(stats);
                 inv_cycles_sum += 1.0 / r.total_cycles().max(1) as f64;
                 n += 1.0;

@@ -61,7 +61,10 @@ pub fn run(quick: bool, cache: &mut StatsCache) -> Vec<Row> {
         .map(|m| {
             let cycles = nets
                 .iter()
-                .map(|&n| m.simulate_network(cache.peek(n, policy, 2)).total_cycles())
+                .map(|&n| {
+                    m.simulate_network(cache.peek(n, policy, 2, SEED))
+                        .total_cycles()
+                })
                 .sum();
             (m.name().to_string(), cycles, m.area_mm2())
         })

@@ -61,10 +61,21 @@ impl SeededRng {
         Self::new(s)
     }
 
+    /// Next raw 53-bit draw: the high bits of [`Self::next_u64`], which
+    /// every floating-point sampler below starts from.
+    pub(crate) fn next_bits53(&mut self) -> u64 {
+        self.next_u64() >> 11
+    }
+
     /// Uniform sample in `[0, 1)`.
     pub fn uniform_f64(&mut self) -> f64 {
+        Self::uniform_at(self.next_bits53())
+    }
+
+    /// The uniform sample for the raw 53-bit draw `k`.
+    fn uniform_at(k: u64) -> f64 {
         // 53 high-quality bits into the mantissa.
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        k as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform integer in `[0, n)`.
@@ -104,7 +115,14 @@ impl SeededRng {
     /// low-bit uniform quantization produce substantial weight sparsity
     /// (paper Fig 1).
     pub fn laplace(&mut self, scale: f64) -> f64 {
-        let u = self.uniform_f64() - 0.5;
+        Self::laplace_at(self.next_bits53(), scale)
+    }
+
+    /// The sample [`Self::laplace`] returns when its raw 53-bit draw
+    /// ([`Self::next_bits53`]) is `k`. It is non-decreasing in `k`, which
+    /// is what lets a quantized Laplace draw become a table lookup on `k`.
+    pub(crate) fn laplace_at(k: u64, scale: f64) -> f64 {
+        let u = Self::uniform_at(k) - 0.5;
         -scale * u.signum() * (1.0 - 2.0 * u.abs()).ln()
     }
 

@@ -17,6 +17,19 @@
 //! simulators and correctness tests); large network sweeps use
 //! [`LayerStats`], which samples per input channel and scales, so simulating
 //! ResNet-50 never allocates a 100M-element tensor.
+//!
+//! Sampling stands in for checkpoints we do not have, so it is kept cheap
+//! without changing a single value. [`LayerStats::generate`] draws each
+//! weight through a [`WeightTable`]: the quantized Laplace weight is a
+//! monotone function of the one raw draw behind it, so a lookup of that
+//! draw among the level edges gives exactly the value the `ln`-and-divide
+//! would. Once a layer's 8,192-value `weight_sample` is full, a channel
+//! keeps only a histogram of its levels: magnitude pruning zeroes the
+//! smallest non-zero magnitudes, and the non-zero value and atom counts
+//! it leaves depend only on how many values each magnitude has, not on
+//! which of a tied `±m` pair is zeroed. Channels that still feed
+//! `weight_sample` are materialized and pruned as values, because there
+//! the tie choice decides which values the sample stores.
 
 use crate::error::QnnError;
 use crate::layers::ConvLayer;
@@ -145,8 +158,13 @@ impl WorkloadGen {
 
     /// Samples one quantized weight value.
     fn sample_weight(rng: &mut SeededRng, q: &Quantizer) -> i32 {
-        // Laplace with unit std-dev (scale 1/√2).
-        q.quantize(rng.laplace(std::f64::consts::FRAC_1_SQRT_2) as f32)
+        Self::weight_at(q, rng.next_bits53())
+    }
+
+    /// The quantized weight [`Self::sample_weight`] returns for the raw
+    /// 53-bit draw `k`: a Laplace value with unit std-dev (scale 1/√2).
+    fn weight_at(q: &Quantizer, k: u64) -> i32 {
+        q.quantize(SeededRng::laplace_at(k, std::f64::consts::FRAC_1_SQRT_2) as f32)
     }
 
     /// Samples one quantized post-ReLU activation value.
@@ -429,6 +447,126 @@ impl WorkloadGen {
     }
 }
 
+/// A weight profile's quantized draws as a lookup on the raw 53-bit draw.
+///
+/// A synthetic weight is `quantize(laplace(1/√2) as f32)`, where the
+/// Laplace sample ([`SeededRng::laplace`]) is a function of one raw 53-bit
+/// draw `k = next_u64() >> 11`. That map is non-decreasing in `k`: `k → u`
+/// is exact, and `ln`, the scale, the `f32` cast, the division by the step,
+/// rounding and the clamp are each monotone. So every level `v > -max` has
+/// an edge, the smallest `k` whose weight reaches `v`, and the weight of
+/// `k` is `-max` plus the number of edges at or below `k`. A lookup takes
+/// the same single `next_u64` as the direct draw, so the random stream and
+/// every value are unchanged; it only skips the `ln` and the divide.
+///
+/// A bisection over up to 254 edges mispredicts a branch per step, which
+/// at 8 bits costs more than the `ln` it replaces. So the lookup starts
+/// from a guide: the draw's top `GUIDE_BITS` bits name a bucket, the
+/// guide holds the number of edges below that bucket, and a short scan
+/// counts the bucket's own edges at or below `k`. The Laplace density is
+/// flat near zero, so most buckets hold no edge; the crowded tail buckets
+/// are drawn rarely.
+#[derive(Debug, Clone)]
+pub struct WeightTable {
+    quantizer: Quantizer,
+    /// `edges[j]`: smallest raw draw whose weight is at least `j + 1 - max`
+    /// (`2^53`, never drawn, when no draw reaches it).
+    edges: Vec<u64>,
+    /// `guide[b]`: number of edges below bucket `b`'s first draw.
+    guide: Vec<u32>,
+    max: i32,
+}
+
+/// Bits of a raw draw that pick its [`WeightTable`] guide bucket.
+const GUIDE_BITS: u32 = 10;
+
+impl WeightTable {
+    /// Builds the table for `profile`'s quantizer by bisecting the exact
+    /// draw-to-weight map for each edge (at most `2·signed_max` of them;
+    /// under a millisecond at 8 bits).
+    pub fn new(profile: &WeightProfile) -> Self {
+        let quantizer = WorkloadGen::weight_quantizer(profile);
+        let max = quantizer.bits().signed_max();
+        let mut lo = 0u64;
+        let edges = (1 - max..=max)
+            .map(|level| {
+                // Bisect for the first draw reaching `level`; the edges
+                // ascend, so each search starts at the previous edge.
+                let mut hi = 1u64 << 53;
+                while lo < hi {
+                    let mid = lo + (hi - lo) / 2;
+                    if WorkloadGen::weight_at(&quantizer, mid) >= level {
+                        hi = mid;
+                    } else {
+                        lo = mid + 1;
+                    }
+                }
+                lo
+            })
+            .collect::<Vec<u64>>();
+        let guide = (0..1u64 << GUIDE_BITS)
+            .map(|b| edges.partition_point(|&e| e < b << (53 - GUIDE_BITS)) as u32)
+            .collect();
+        Self {
+            quantizer,
+            edges,
+            guide,
+            max,
+        }
+    }
+
+    /// The level edges, ascending: entry `j` is the smallest raw draw
+    /// whose weight is at least `j + 1 - signed_max`.
+    pub fn edges(&self) -> &[u64] {
+        &self.edges
+    }
+
+    /// The weight drawn when the raw 53-bit draw (`next_u64() >> 11`) is
+    /// `k`.
+    ///
+    /// # Panics
+    /// Panics if `k >= 2^53`.
+    pub fn weight(&self, k: u64) -> i32 {
+        self.index(k) as i32 - self.max
+    }
+
+    /// Level index `weight + max` (in `0..=2·max`) of the raw draw `k`:
+    /// the number of edges at or below `k`.
+    fn index(&self, k: u64) -> usize {
+        let mut i = self.guide[(k >> (53 - GUIDE_BITS)) as usize] as usize;
+        while self.edges.get(i).is_some_and(|&e| e <= k) {
+            i += 1;
+        }
+        i
+    }
+
+    /// `(non-zero values, non-zero atoms)` left after [`magnitude_prune`]
+    /// to `target` of a channel whose draws have level histogram `hist`.
+    /// The prune zeroes the smallest non-zero magnitudes; which value of a
+    /// tied `±m` pair it picks moves neither count, so both follow from
+    /// the per-magnitude counts alone. `atoms[m]` is
+    /// `nonzero_atoms(m, atom_bits)` for every `m <= max`.
+    fn pruned_counts(&self, hist: &[u32], target: f64, atoms: &[u64]) -> (u64, u64) {
+        let max = self.max as usize;
+        let len: u32 = hist.iter().sum();
+        let zeros = u64::from(hist[max]);
+        let mut need = if target > 0.0 && len > 0 {
+            ((target * len as f64).ceil() as u64).saturating_sub(zeros)
+        } else {
+            0
+        };
+        let (mut nnz, mut atom_total) = (0u64, 0u64);
+        for m in 1..=max {
+            let count = u64::from(hist[max + m] + hist[max - m]);
+            let cut = count.min(need);
+            need -= cut;
+            nnz += count - cut;
+            atom_total += (count - cut) * atoms[m];
+        }
+        (nnz, atom_total)
+    }
+}
+
 /// Per-layer statistics: everything the analytic accelerator models need,
 /// produced by per-channel sampling without materializing huge tensors.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -469,11 +607,29 @@ impl LayerStats {
         atom_bits: u8,
         rng: &mut SeededRng,
     ) -> Self {
+        Self::generate_with(layer, wp, ap, atom_bits, &WeightTable::new(wp), rng)
+    }
+
+    /// [`Self::generate`] with the weight table for `wp` already built.
+    ///
+    /// Weights come from `table` lookups. Channels that still fill
+    /// `weight_sample` are materialized and pruned with
+    /// [`magnitude_prune`], so the stored sample is the values themselves;
+    /// every later channel keeps only a level histogram and prunes it with
+    /// [`WeightTable::pruned_counts`].
+    fn generate_with(
+        layer: &ConvLayer,
+        wp: &WeightProfile,
+        ap: &ActivationProfile,
+        atom_bits: u8,
+        table: &WeightTable,
+        rng: &mut SeededRng,
+    ) -> Self {
+        debug_assert_eq!(table.quantizer, WorkloadGen::weight_quantizer(wp));
         let in_c = layer.in_channels;
         let acts_per_ch = layer.in_h * layer.in_w;
         let weights_per_ch = layer.out_channels * layer.kernel * layer.kernel;
 
-        let wq = WorkloadGen::weight_quantizer(wp);
         let aq = WorkloadGen::activation_quantizer(ap);
         let shift = ap.effective_shift();
 
@@ -481,55 +637,81 @@ impl LayerStats {
         let mut w_atoms = Vec::with_capacity(in_c);
         let mut act_vals = Vec::with_capacity(in_c);
         let mut w_vals = Vec::with_capacity(in_c);
-        let mut w_sample = Vec::new();
-        let mut a_sample = Vec::new();
+        // Values sampled per channel, and the factor that scales a
+        // channel's sampled counts to its true size.
+        let a_n = acts_per_ch.min(CHANNEL_SAMPLE_CAP);
+        let a_scale = acts_per_ch as f64 / a_n as f64;
+        let w_n = weights_per_ch.min(CHANNEL_SAMPLE_CAP);
+        let w_scale = weights_per_ch as f64 / w_n as f64;
+        // Both samples' final lengths are known up front. Sizing them
+        // exactly, rather than growing them by doubling, keeps a sweep of
+        // many networks from fragmenting the heap.
+        let mut w_sample = Vec::with_capacity((in_c * w_n).min(STATS_SAMPLE_CAP));
+        let mut a_sample = Vec::with_capacity((in_c * a_n).min(STATS_SAMPLE_CAP));
         let (mut a_nnz, mut a_atom_total) = (0u64, 0u64);
         let (mut w_nnz, mut w_atom_total) = (0u64, 0u64);
+        let mut vals = Vec::with_capacity(w_n);
+        let mut hist = vec![0u32; 2 * table.max as usize + 1];
+        // `atoms_of[m]`: non-zero atoms of magnitude `m`, for every
+        // magnitude either tensor can hold.
+        let atoms_of: Vec<u64> = (0..=ap.bits.unsigned_max().max(table.max))
+            .map(|m| nonzero_atoms(m, atom_bits) as u64)
+            .collect();
 
         // Per-channel sparsity jitter (channels of real networks differ).
         for _ in 0..in_c {
             let ch_shift = shift + 0.25 * rng.normal();
 
             // Activations for this channel.
-            let n_s = acts_per_ch.min(CHANNEL_SAMPLE_CAP);
-            let scale = acts_per_ch as f64 / n_s as f64;
             let (mut nnz, mut atoms) = (0u64, 0u64);
-            for _ in 0..n_s {
+            for _ in 0..a_n {
                 let v = WorkloadGen::sample_activation(rng, &aq, ch_shift);
                 if a_sample.len() < STATS_SAMPLE_CAP {
                     a_sample.push(v);
                 }
                 if v != 0 {
                     nnz += 1;
-                    atoms += nonzero_atoms(v, atom_bits) as u64;
+                    atoms += atoms_of[v as usize];
                 }
             }
-            let (nnz, atoms) = ((nnz as f64 * scale) as u64, (atoms as f64 * scale) as u64);
+            let (nnz, atoms) = (
+                (nnz as f64 * a_scale) as u64,
+                (atoms as f64 * a_scale) as u64,
+            );
             act_vals.push(nnz);
             act_atoms.push(atoms);
             a_nnz += nnz;
             a_atom_total += atoms;
 
             // Weights feeding this channel (slice of all kernels).
-            let n_s = weights_per_ch.min(CHANNEL_SAMPLE_CAP);
-            let scale = weights_per_ch as f64 / n_s as f64;
-            let mut vals: Vec<i32> = (0..n_s)
-                .map(|_| WorkloadGen::sample_weight(rng, &wq))
-                .collect();
-            if wp.prune_sparsity > 0.0 {
-                magnitude_prune(&mut vals, wp.prune_sparsity);
-            }
-            let (mut nnz, mut atoms) = (0u64, 0u64);
-            for &v in &vals {
-                if w_sample.len() < STATS_SAMPLE_CAP {
-                    w_sample.push(v);
+            let (nnz, atoms) = if w_sample.len() < STATS_SAMPLE_CAP {
+                vals.clear();
+                vals.extend((0..w_n).map(|_| table.weight(rng.next_bits53())));
+                if wp.prune_sparsity > 0.0 {
+                    magnitude_prune(&mut vals, wp.prune_sparsity);
                 }
-                if v != 0 {
-                    nnz += 1;
-                    atoms += nonzero_atoms(v, atom_bits) as u64;
+                let (mut nnz, mut atoms) = (0u64, 0u64);
+                for &v in &vals {
+                    if w_sample.len() < STATS_SAMPLE_CAP {
+                        w_sample.push(v);
+                    }
+                    if v != 0 {
+                        nnz += 1;
+                        atoms += atoms_of[v.unsigned_abs() as usize];
+                    }
                 }
-            }
-            let (nnz, atoms) = ((nnz as f64 * scale) as u64, (atoms as f64 * scale) as u64);
+                (nnz, atoms)
+            } else {
+                hist.fill(0);
+                for _ in 0..w_n {
+                    hist[table.index(rng.next_bits53())] += 1;
+                }
+                table.pruned_counts(&hist, wp.prune_sparsity, &atoms_of)
+            };
+            let (nnz, atoms) = (
+                (nnz as f64 * w_scale) as u64,
+                (atoms as f64 * w_scale) as u64,
+            );
             w_vals.push(nnz);
             w_atoms.push(atoms);
             w_nnz += nnz;
@@ -684,7 +866,7 @@ impl LayerStats {
 }
 
 /// Precision policy for a network run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PrecisionPolicy {
     /// Same bit-width for all layers, weights and activations.
     Uniform(BitWidth),
@@ -723,6 +905,9 @@ impl NetworkStats {
         let (shift, clip, prune) = network_flavor(id);
         let mut rng = SeededRng::new(seed ^ (id as u64) << 32);
         let mut layers = Vec::with_capacity(net.layers().len());
+        // One weight table per distinct quantizer (at most two: the clip is
+        // per network, the width per layer).
+        let mut tables: Vec<WeightTable> = Vec::new();
         for layer in net.layers() {
             let (wb, ab) = match policy {
                 PrecisionPolicy::Uniform(b) => (b, b),
@@ -757,8 +942,18 @@ impl NetworkStats {
                 bits: ab,
                 relu_shift: shift,
             };
+            let wq = WorkloadGen::weight_quantizer(&wp);
+            let table = match tables.iter().position(|t| t.quantizer == wq) {
+                Some(i) => &tables[i],
+                None => {
+                    tables.push(WeightTable::new(&wp));
+                    tables.last().expect("just pushed")
+                }
+            };
             let mut lrng = rng.fork(layers.len() as u64);
-            layers.push(LayerStats::generate(layer, &wp, &ap, atom_bits, &mut lrng));
+            layers.push(LayerStats::generate_with(
+                layer, &wp, &ap, atom_bits, table, &mut lrng,
+            ));
         }
         Self { id, policy, layers }
     }
@@ -896,6 +1091,31 @@ mod tests {
                 (stats.atom_density - target).abs() < 0.05,
                 "target {target}, measured {}",
                 stats.atom_density
+            );
+        }
+    }
+
+    #[test]
+    fn histogram_prune_matches_magnitude_prune() {
+        let table = WeightTable::new(&WeightProfile::unpruned(BitWidth::W4));
+        let atoms: Vec<u64> = (0..=7).map(|m| nonzero_atoms(m, 2) as u64).collect();
+        let mut rng = SeededRng::new(5);
+        for _ in 0..200 {
+            let n = 1 + rng.below(300);
+            let mut vals: Vec<i32> = (0..n).map(|_| table.weight(rng.next_bits53())).collect();
+            let mut hist = vec![0u32; 15];
+            for &v in &vals {
+                hist[(v + 7) as usize] += 1;
+            }
+            let target = [0.0, 0.3, 0.45, 0.9, 1.0][rng.below(5)];
+            if target > 0.0 {
+                magnitude_prune(&mut vals, target);
+            }
+            let nnz = vals.iter().filter(|&&v| v != 0).count() as u64;
+            let atom_total: u64 = vals.iter().map(|&v| nonzero_atoms(v, 2) as u64).sum();
+            assert_eq!(
+                table.pruned_counts(&hist, target, &atoms),
+                (nnz, atom_total)
             );
         }
     }

@@ -96,22 +96,24 @@ impl RistrettoSim {
                 out_groups * n * s.div_ceil(out_groups * n)
             }
         };
-        // `real_s[i]`: actual non-zero weight atoms per activation pass
-        // (drives multiplication/delivery counts); the scheduled stream
-        // length additionally carries the group rounding.
-        let mut real_s = Vec::with_capacity(layer.in_channels);
+        // `channel_atoms(i)`: activation atoms and the actual non-zero
+        // weight atoms per activation pass (drives multiplication/delivery
+        // counts); the scheduled stream length additionally carries the
+        // group rounding.
+        let channel_atoms = |i: usize| -> (u64, u64) {
+            let (t, s) = if self.cfg.sparse {
+                (
+                    stats.act_atoms_per_channel[i],
+                    stats.weight_atoms_per_channel[i],
+                )
+            } else {
+                (acts_per_ch * slots_a, weights_per_ch * slots_w)
+            };
+            (t, s.div_ceil(phases))
+        };
         let workloads: Vec<ChannelWorkload> = (0..layer.in_channels)
             .map(|i| {
-                let (t, s) = if self.cfg.sparse {
-                    (
-                        stats.act_atoms_per_channel[i],
-                        stats.weight_atoms_per_channel[i],
-                    )
-                } else {
-                    (acts_per_ch * slots_a, weights_per_ch * slots_w)
-                };
-                let s_phase = s.div_ceil(phases);
-                real_s.push(s_phase);
+                let (t, s_phase) = channel_atoms(i);
                 ChannelWorkload {
                     channel: i,
                     act_atoms: t,
@@ -126,9 +128,10 @@ impl RistrettoSim {
         // activation stream divides. This keeps the array busy without any
         // statistics-driven balancing. The split view feeds scheduling only;
         // event counts use the unsplit workloads.
-        let balance_view: Vec<ChannelWorkload> = if workloads.len() < self.cfg.tiles {
+        let split: Vec<ChannelWorkload>;
+        let balance_view: &[ChannelWorkload] = if workloads.len() < self.cfg.tiles {
             let shares = (self.cfg.tiles / workloads.len().max(1)).max(1);
-            workloads
+            split = workloads
                 .iter()
                 .flat_map(|w| {
                     (0..shares).map(move |s| ChannelWorkload {
@@ -137,9 +140,10 @@ impl RistrettoSim {
                         weight_atoms: w.weight_atoms,
                     })
                 })
-                .collect()
+                .collect();
+            &split
         } else {
-            workloads.clone()
+            &workloads
         };
 
         let strategy = if input_layer {
@@ -147,7 +151,7 @@ impl RistrettoSim {
         } else {
             self.cfg.balancing
         };
-        let assignment = balance(&balance_view, self.cfg.tiles, n, strategy);
+        let assignment = balance(balance_view, self.cfg.tiles, n, strategy);
         let cycles = assignment.makespan();
         let utilization = assignment.utilization();
 
@@ -169,7 +173,7 @@ impl RistrettoSim {
         let a_bits = stats.a_bits.bits() as u64;
         let g = self.cfg.atom_bits.bits() as u64;
         for w in &workloads {
-            let s = real_s[w.channel];
+            let (_, s) = channel_atoms(w.channel);
             let passes = w.weight_atoms.div_ceil(n).max(1);
             atom_mults += w.act_atoms * s;
             deliveries += values_per_ch(w.channel) * s;

@@ -150,10 +150,15 @@ pub fn balance(
 
 fn cyclic(workloads: &[ChannelWorkload], tiles: usize, n: u64) -> Assignment {
     let mut groups = vec![Vec::new(); tiles];
+    let mut tile_cycles = vec![0u64; tiles];
     for (i, w) in workloads.iter().enumerate() {
         groups[i % tiles].push(w.channel);
+        tile_cycles[i % tiles] += w.cycles(n);
     }
-    finish(groups, workloads, n)
+    Assignment {
+        groups,
+        tile_cycles,
+    }
 }
 
 /// The greedy of §IV-E: channels sorted by the metric, each placed where
@@ -173,6 +178,7 @@ fn greedy(
     order.sort_by(|a, b| metric(b).cmp(&metric(a)).then(a.channel.cmp(&b.channel)));
     let mut groups: Vec<Vec<usize>> = vec![Vec::new(); tiles];
     let mut loads = vec![0u64; tiles];
+    let mut tile_cycles = vec![0u64; tiles];
     for w in order {
         let slot = loads
             .iter()
@@ -182,17 +188,8 @@ fn greedy(
             .expect("tiles > 0");
         loads[slot] += metric(w);
         groups[slot].push(w.channel);
+        tile_cycles[slot] += w.cycles(n);
     }
-    finish(groups, workloads, n)
-}
-
-fn finish(groups: Vec<Vec<usize>>, workloads: &[ChannelWorkload], n: u64) -> Assignment {
-    let by_channel: std::collections::HashMap<usize, &ChannelWorkload> =
-        workloads.iter().map(|w| (w.channel, w)).collect();
-    let tile_cycles = groups
-        .iter()
-        .map(|g| g.iter().map(|c| by_channel[c].cycles(n)).sum())
-        .collect();
     Assignment {
         groups,
         tile_cycles,
@@ -285,6 +282,79 @@ mod tests {
     fn channel_cycles_match_eq5() {
         let w = mk(0, 100, 33);
         assert_eq!(w.cycles(16), 100 * 3);
+    }
+
+    /// The balancer as it was before per-tile cycles were summed during
+    /// placement: place channels, then sum each group's Eq 5 cycles
+    /// through a per-channel map.
+    fn balance_via_channel_map(
+        workloads: &[ChannelWorkload],
+        tiles: usize,
+        n: u64,
+        strategy: BalanceStrategy,
+    ) -> Assignment {
+        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); tiles];
+        if strategy == BalanceStrategy::None {
+            for (i, w) in workloads.iter().enumerate() {
+                groups[i % tiles].push(w.channel);
+            }
+        } else {
+            let metric = |w: &ChannelWorkload| match strategy {
+                BalanceStrategy::WeightOnly => w.weight_atoms,
+                _ => w.cycles(n),
+            };
+            let mut order: Vec<&ChannelWorkload> = workloads.iter().collect();
+            order.sort_by(|a, b| metric(b).cmp(&metric(a)).then(a.channel.cmp(&b.channel)));
+            let mut loads = vec![0u64; tiles];
+            for w in order {
+                let slot = (0..tiles).min_by_key(|&i| (loads[i], i)).unwrap();
+                loads[slot] += metric(w);
+                groups[slot].push(w.channel);
+            }
+        }
+        let by_channel: std::collections::HashMap<usize, &ChannelWorkload> =
+            workloads.iter().map(|w| (w.channel, w)).collect();
+        let tile_cycles = groups
+            .iter()
+            .map(|g| g.iter().map(|c| by_channel[c].cycles(n)).sum())
+            .collect();
+        Assignment {
+            groups,
+            tile_cycles,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn placement_sums_equal_the_channel_map_sums(
+            raw in proptest::collection::vec(0u64..15_000_000, 0..80),
+            tiles in 1usize..40,
+            n in 1u64..33,
+            shares in 1usize..5,
+        ) {
+            // `shares > 1` is the analytic model's spatial split view: each
+            // channel becomes `shares` pieces with ids `c·shares + s`.
+            let workloads: Vec<ChannelWorkload> = raw
+                .iter()
+                .enumerate()
+                .flat_map(|(c, &r)| {
+                    let (act, weight) = (r % 5_000, r / 5_000);
+                    (0..shares).map(move |s| mk(c * shares + s, act / shares as u64, weight))
+                })
+                .collect();
+            for strategy in [
+                BalanceStrategy::None,
+                BalanceStrategy::WeightOnly,
+                BalanceStrategy::WeightActivation,
+            ] {
+                proptest::prop_assert_eq!(
+                    balance(&workloads, tiles, n, strategy),
+                    balance_via_channel_map(&workloads, tiles, n, strategy)
+                );
+            }
+        }
     }
 
     #[test]

@@ -81,9 +81,6 @@ pub trait Backend: Sync {
     }
 }
 
-/// Former name of [`Backend`], kept as an alias for downstream code.
-pub use self::Backend as Accelerator;
-
 #[cfg(test)]
 mod tests {
     use super::*;

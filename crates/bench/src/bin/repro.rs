@@ -8,7 +8,7 @@
 //! repro stats-check --golden <path> [--metrics <path>] [--update]
 //!                    [--threads <n>]
 //! experiments: fig1 fig4 fig12 fig13 fig14 fig15 fig16 fig17 fig18 fig19
-//!              table6 motivation multicore scaling ablations batch all
+//!              table6 motivation scaling ablations batch all
 //! ```
 //!
 //! `fig13` and `fig16` are energy companions produced by the same runners
@@ -79,14 +79,14 @@
 use bench::cache::StatsCache;
 use bench::experiments::{
     ablations, engine_batch, fig01, fig04, fig12, fig14, fig15, fig17, fig18, fig19, motivation,
-    multicore_scaling, scaling, table6,
+    scaling, table6,
 };
 use bench::stats_gate;
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-const USAGE: &str = "usage: repro <fig1|fig4|fig12|fig13|fig14|fig15|fig16|fig17|fig18|fig19|table6|motivation|multicore|scaling|ablations|batch|all> [--quick] [--json <path>] [--metrics <path>] [--threads <n>] [--trace] [--batch <n>] [--model-cache <dir>] [--timeout-secs <n>]
+const USAGE: &str = "usage: repro <fig1|fig4|fig12|fig13|fig14|fig15|fig16|fig17|fig18|fig19|table6|motivation|scaling|ablations|batch|all> [--quick] [--json <path>] [--metrics <path>] [--threads <n>] [--trace] [--batch <n>] [--model-cache <dir>] [--timeout-secs <n>]
        repro stats-check --golden <path> [--metrics <path>] [--update] [--threads <n>]
        repro diffcheck [--cases <n>] [--seed <s>] [--shrink] [--repro-dir <path>]
        repro chaos [--campaign <n>] [--seed <s>] [--json <path>]
@@ -102,7 +102,7 @@ const USAGE: &str = "usage: repro <fig1|fig4|fig12|fig13|fig14|fig15|fig16|fig17
                    [--json <path>] [--metrics <path>] [--threads <n>]";
 
 /// Canonical experiment order of `repro all`.
-const ALL: [&str; 14] = [
+const ALL: [&str; 13] = [
     "fig1",
     "fig4",
     "table6",
@@ -113,7 +113,6 @@ const ALL: [&str; 14] = [
     "fig18",
     "fig19",
     "motivation",
-    "multicore",
     "scaling",
     "ablations",
     "batch",
@@ -147,296 +146,225 @@ struct Cli {
     serve: bench::serve_cli::ServeArgs,
 }
 
+/// What a flag takes after it on the command line.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// Nothing: the flag's presence sets it.
+    Switch,
+    /// A free-form string: a path, a directory or a spec.
+    Text,
+    /// An unsigned integer that must fit in `width` (its field type's
+    /// maximum) and lie within `min..=max`.
+    Int { width: u64, min: u64, max: u64 },
+    /// A ratio of at least `min`; NaN is rejected.
+    Ratio { min: f64 },
+    /// A `--slo-class` spec, parsed by [`bench::serve_cli::parse_classes`].
+    Classes,
+}
+
+/// One row of [`FLAGS`]: how a flag's value is taken, parsed and checked,
+/// and which experiments it belongs to.
+struct Flag {
+    name: &'static str,
+    kind: Kind,
+    /// Completes "`name` requires …" when the value is missing.
+    needs: &'static str,
+    /// Completes "invalid … `value`" when the value does not parse.
+    noun: &'static str,
+    /// Follows the bound in a range error (" microtick", …).
+    unit: &'static str,
+    /// Experiments the flag applies to; empty means every experiment.
+    scope: &'static [&'static str],
+    /// Experiments that cannot run without the flag, and its metavar.
+    required_by: (&'static [&'static str], &'static str),
+}
+
+const fn switch(name: &'static str, scope: &'static [&'static str]) -> Flag {
+    Flag {
+        name,
+        kind: Kind::Switch,
+        needs: "",
+        noun: "",
+        unit: "",
+        scope,
+        required_by: (&[], ""),
+    }
+}
+
+const fn text(name: &'static str, needs: &'static str, scope: &'static [&'static str]) -> Flag {
+    Flag {
+        kind: Kind::Text,
+        needs,
+        ..switch(name, scope)
+    }
+}
+
+const fn int(
+    name: &'static str,
+    needs: &'static str,
+    noun: &'static str,
+    (width, min, max): (u64, u64, u64),
+    scope: &'static [&'static str],
+) -> Flag {
+    Flag {
+        kind: Kind::Int { width, min, max },
+        noun,
+        ..text(name, needs, scope)
+    }
+}
+
+impl Flag {
+    const fn unit(self, unit: &'static str) -> Self {
+        Self { unit, ..self }
+    }
+
+    const fn required_by(self, which: &'static [&'static str], metavar: &'static str) -> Self {
+        Self {
+            required_by: (which, metavar),
+            ..self
+        }
+    }
+}
+
+const ANY: &[&str] = &[];
+const SERVE: &[&str] = &["serve"];
+const DIFFCHECK: &[&str] = &["diffcheck"];
+const U16: u64 = u16::MAX as u64;
+const U32: u64 = u32::MAX as u64;
+const U64: u64 = u64::MAX;
+const USIZE: u64 = usize::MAX as u64;
+
+/// Every option `repro` accepts. Scope and requirement checks run in row
+/// order, so the first violated row names the error.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    switch("--quick", ANY),
+    switch("--trace", ANY),
+    text("--json", "a path", ANY),
+    text("--metrics", "a path", ANY),
+    int("--threads", "a count", "thread count", (USIZE, 1, USIZE), ANY),
+    int("--timeout-secs", "a count", "timeout", (U64, 1, U64), ANY),
+    text("--model-cache", "a directory", &["batch", "all", "cache", "artifact", "serve"])
+        .required_by(&["cache", "artifact"], "dir"),
+    text("--baseline", "a path", &["perf-check"]).required_by(&["perf-check"], "path"),
+    Flag {
+        kind: Kind::Ratio { min: 1.0 },
+        noun: "tolerance",
+        ..text("--tolerance", "a ratio", &["perf-check"])
+    },
+    text("--golden", "a path", &["stats-check"]).required_by(&["stats-check"], "path"),
+    switch("--update", &["stats-check"]),
+    int("--batch", "a count", "batch size", (USIZE, 1, USIZE), &["batch", "all"]),
+    int("--cases", "a count", "case count", (U64, 0, U64), DIFFCHECK),
+    switch("--shrink", DIFFCHECK),
+    text("--repro-dir", "a path", DIFFCHECK),
+    int("--seed", "a value", "seed", (U64, 0, U64), &["diffcheck", "chaos", "serve"]),
+    int("--campaign", "a count", "campaign size", (U64, 1, U64), &["chaos"]),
+    int("--clients", "a count", "client count", (USIZE, 1, USIZE), SERVE),
+    int("--requests", "a count", "request count", (USIZE, 0, USIZE), SERVE),
+    int("--lambda", "a rate", "arrival rate", (U64, 1, U64), SERVE)
+        .unit(" request per megatick"),
+    text("--mix", "a spec like `AlexNet=3,GoogLeNet=1`", SERVE),
+    int("--max-batch", "a count", "batch bound", (USIZE, 1, USIZE), SERVE),
+    int("--max-wait", "a tick count", "wait bound", (U64, 0, U64), SERVE),
+    int("--queue-cap", "a count", "queue capacity", (USIZE, 1, USIZE), SERVE),
+    int("--fleet-cores", "a count", "core count", (USIZE, 1, USIZE), SERVE),
+    int("--deadline", "a tick count", "deadline", (U64, 1, U64), SERVE).unit(" microtick"),
+    Flag {
+        kind: Kind::Classes,
+        ..text("--slo-class", "a spec like `interactive,batch,best-effort`", SERVE)
+    },
+    int("--brownout", "a permille value", "brownout permille", (U16, 1, 1000), SERVE)
+        .unit(" permille"),
+    int("--retry-budget", "a count", "retry budget", (U32, 0, 16), SERVE)
+        .unit(" retries per request"),
+    switch("--chaos", SERVE),
+];
+
+/// A parsed flag value.
+enum Value {
+    Set,
+    Text(String),
+    Int(u64),
+    Ratio(f64),
+    Classes(Vec<ristretto_sim::serve::SloClass>),
+}
+
+/// "`a`, `b` or `c`": the scope list of an "only applies to" error.
+fn one_of(names: &[&str]) -> String {
+    let quoted: Vec<String> = names.iter().map(|n| format!("`{n}`")).collect();
+    match quoted.split_last() {
+        Some((last, [])) => last.clone(),
+        Some((last, rest)) => format!("{} or {last}", rest.join(", ")),
+        None => String::new(),
+    }
+}
+
+impl Flag {
+    /// Takes the flag's value from `rest` (nothing for a switch), parses it
+    /// and checks its bounds.
+    fn take(&self, rest: &mut std::slice::Iter<'_, String>) -> Result<Value, String> {
+        let name = self.name;
+        let mut value = || {
+            rest.next()
+                .ok_or_else(|| format!("{name} requires {}", self.needs))
+        };
+        let invalid = |v: &str| format!("invalid {} `{v}`", self.noun);
+        match self.kind {
+            Kind::Switch => Ok(Value::Set),
+            Kind::Text => Ok(Value::Text(value()?.clone())),
+            Kind::Classes => bench::serve_cli::parse_classes(value()?).map(Value::Classes),
+            Kind::Ratio { min } => {
+                let v = value()?;
+                let x: f64 = v.parse().map_err(|_| invalid(v))?;
+                // NaN must fail too, so compare in the rejecting direction.
+                if x < min || x.is_nan() {
+                    return Err(format!("{name} must be at least {min:?}"));
+                }
+                Ok(Value::Ratio(x))
+            }
+            Kind::Int { width, min, max } => {
+                let v = value()?;
+                let n = v
+                    .parse::<u64>()
+                    .ok()
+                    .filter(|&n| n <= width)
+                    .ok_or_else(|| invalid(v))?;
+                let unit = self.unit;
+                if !(min..=max).contains(&n) {
+                    return Err(if max == width {
+                        format!("{name} must be at least {min}{unit}")
+                    } else if min == 0 {
+                        format!("{name} must be at most {max}{unit} (got {n})")
+                    } else {
+                        format!("{name} must be within {min}..={max}{unit} (got {n})")
+                    });
+                }
+                Ok(Value::Int(n))
+            }
+        }
+    }
+}
+
 /// Parses arguments; option values (`--json`, `--metrics`, `--golden`,
 /// `--threads`) are consumed and can never be mistaken for the experiment
 /// name.
 fn parse_args(args: &[String]) -> Result<Cli, String> {
-    let mut quick = false;
-    let mut json_path = None;
-    let mut metrics_path = None;
-    let mut golden_path = None;
-    let mut update_golden = false;
-    let mut trace = false;
-    let mut threads = None;
-    let mut batch = None;
-    let mut cases = None;
-    let mut diff_seed = None;
-    let mut shrink = false;
-    let mut repro_dir = None;
-    let mut campaign = None;
-    let mut timeout_secs = None;
-    let mut model_cache = None;
-    let mut baseline = None;
-    let mut tolerance = None;
-    let mut clients = None;
-    let mut requests = None;
-    let mut lambda = None;
-    let mut mix = None;
-    let mut max_batch = None;
-    let mut max_wait = None;
-    let mut queue_cap = None;
-    let mut fleet_cores = None;
-    let mut deadline = None;
-    let mut slo_class = None;
-    let mut brownout = None;
-    let mut retry_budget = None;
-    let mut chaos_load = false;
+    let mut given: std::collections::HashMap<&str, Value> = std::collections::HashMap::new();
     let mut positionals: Vec<String> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--update" => update_golden = true,
-            "--trace" => trace = true,
-            "--json" => {
-                json_path = Some(
-                    it.next()
-                        .ok_or_else(|| "--json requires a path".to_string())?
-                        .clone(),
-                );
-            }
-            "--metrics" => {
-                metrics_path = Some(
-                    it.next()
-                        .ok_or_else(|| "--metrics requires a path".to_string())?
-                        .clone(),
-                );
-            }
-            "--golden" => {
-                golden_path = Some(
-                    it.next()
-                        .ok_or_else(|| "--golden requires a path".to_string())?
-                        .clone(),
-                );
-            }
-            "--threads" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--threads requires a count".to_string())?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("invalid thread count `{v}`"))?;
-                if n == 0 {
-                    return Err("--threads must be at least 1".to_string());
-                }
-                threads = Some(n);
-            }
-            "--batch" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--batch requires a count".to_string())?;
-                let n: usize = v.parse().map_err(|_| format!("invalid batch size `{v}`"))?;
-                if n == 0 {
-                    return Err("--batch must be at least 1".to_string());
-                }
-                batch = Some(n);
-            }
-            "--shrink" => shrink = true,
-            "--cases" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--cases requires a count".to_string())?;
-                let n: u64 = v.parse().map_err(|_| format!("invalid case count `{v}`"))?;
-                cases = Some(n);
-            }
-            "--seed" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--seed requires a value".to_string())?;
-                let n: u64 = v.parse().map_err(|_| format!("invalid seed `{v}`"))?;
-                diff_seed = Some(n);
-            }
-            "--repro-dir" => {
-                repro_dir = Some(
-                    it.next()
-                        .ok_or_else(|| "--repro-dir requires a path".to_string())?
-                        .clone(),
-                );
-            }
-            "--campaign" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--campaign requires a count".to_string())?;
-                let n: u64 = v
-                    .parse()
-                    .map_err(|_| format!("invalid campaign size `{v}`"))?;
-                if n == 0 {
-                    return Err("--campaign must be at least 1".to_string());
-                }
-                campaign = Some(n);
-            }
-            "--timeout-secs" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--timeout-secs requires a count".to_string())?;
-                let n: u64 = v.parse().map_err(|_| format!("invalid timeout `{v}`"))?;
-                if n == 0 {
-                    return Err("--timeout-secs must be at least 1".to_string());
-                }
-                timeout_secs = Some(n);
-            }
-            "--model-cache" => {
-                model_cache = Some(
-                    it.next()
-                        .ok_or_else(|| "--model-cache requires a directory".to_string())?
-                        .clone(),
-                );
-            }
-            "--clients" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--clients requires a count".to_string())?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("invalid client count `{v}`"))?;
-                if n == 0 {
-                    return Err("--clients must be at least 1".to_string());
-                }
-                clients = Some(n);
-            }
-            "--requests" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--requests requires a count".to_string())?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("invalid request count `{v}`"))?;
-                requests = Some(n);
-            }
-            "--lambda" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--lambda requires a rate".to_string())?;
-                let n: u64 = v
-                    .parse()
-                    .map_err(|_| format!("invalid arrival rate `{v}`"))?;
-                if n == 0 {
-                    return Err("--lambda must be at least 1 request per megatick".to_string());
-                }
-                lambda = Some(n);
-            }
-            "--mix" => {
-                mix = Some(
-                    it.next()
-                        .ok_or_else(|| {
-                            "--mix requires a spec like `AlexNet=3,GoogLeNet=1`".to_string()
-                        })?
-                        .clone(),
-                );
-            }
-            "--max-batch" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--max-batch requires a count".to_string())?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("invalid batch bound `{v}`"))?;
-                if n == 0 {
-                    return Err("--max-batch must be at least 1".to_string());
-                }
-                max_batch = Some(n);
-            }
-            "--max-wait" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--max-wait requires a tick count".to_string())?;
-                let n: u64 = v.parse().map_err(|_| format!("invalid wait bound `{v}`"))?;
-                max_wait = Some(n);
-            }
-            "--queue-cap" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--queue-cap requires a count".to_string())?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("invalid queue capacity `{v}`"))?;
-                if n == 0 {
-                    return Err("--queue-cap must be at least 1".to_string());
-                }
-                queue_cap = Some(n);
-            }
-            "--fleet-cores" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--fleet-cores requires a count".to_string())?;
-                let n: usize = v.parse().map_err(|_| format!("invalid core count `{v}`"))?;
-                if n == 0 {
-                    return Err("--fleet-cores must be at least 1".to_string());
-                }
-                fleet_cores = Some(n);
-            }
-            "--deadline" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--deadline requires a tick count".to_string())?;
-                let n: u64 = v.parse().map_err(|_| format!("invalid deadline `{v}`"))?;
-                if n == 0 {
-                    return Err("--deadline must be at least 1 microtick".to_string());
-                }
-                deadline = Some(n);
-            }
-            "--slo-class" => {
-                let v = it.next().ok_or_else(|| {
-                    "--slo-class requires a spec like `interactive,batch,best-effort`".to_string()
-                })?;
-                slo_class = Some(bench::serve_cli::parse_classes(v)?);
-            }
-            "--brownout" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--brownout requires a permille value".to_string())?;
-                let n: u16 = v
-                    .parse()
-                    .map_err(|_| format!("invalid brownout permille `{v}`"))?;
-                if n == 0 || n > 1000 {
-                    return Err(format!(
-                        "--brownout must be within 1..=1000 permille (got {n})"
-                    ));
-                }
-                brownout = Some(n);
-            }
-            "--retry-budget" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--retry-budget requires a count".to_string())?;
-                let n: u32 = v
-                    .parse()
-                    .map_err(|_| format!("invalid retry budget `{v}`"))?;
-                if n > 16 {
-                    return Err(format!(
-                        "--retry-budget must be at most 16 retries per request (got {n})"
-                    ));
-                }
-                retry_budget = Some(n);
-            }
-            "--chaos" => chaos_load = true,
-            "--baseline" => {
-                baseline = Some(
-                    it.next()
-                        .ok_or_else(|| "--baseline requires a path".to_string())?
-                        .clone(),
-                );
-            }
-            "--tolerance" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--tolerance requires a ratio".to_string())?;
-                let x: f64 = v.parse().map_err(|_| format!("invalid tolerance `{v}`"))?;
-                // NaN must fail too, so compare in the rejecting direction.
-                if x < 1.0 || x.is_nan() {
-                    return Err("--tolerance must be at least 1.0".to_string());
-                }
-                tolerance = Some(x);
-            }
-            other if other.starts_with("--") => {
-                return Err(format!("unknown option `{other}`"));
-            }
-            other => positionals.push(other.to_string()),
+        if let Some(flag) = FLAGS.iter().find(|f| f.name == arg.as_str()) {
+            given.insert(flag.name, flag.take(&mut it)?);
+        } else if arg.starts_with("--") {
+            return Err(format!("unknown option `{arg}`"));
+        } else {
+            positionals.push(arg.clone());
         }
     }
     // `repro --batch 8` alone means "run the batch experiment".
     let (which, sub) = match positionals.len() {
-        0 if batch.is_some() => ("batch".to_string(), None),
+        0 if given.contains_key("--batch") => ("batch".to_string(), None),
         0 => return Err("no experiment given".to_string()),
         1 => (positionals.remove(0), None),
         2 if positionals[0] == "cache" || positionals[0] == "artifact" => {
@@ -458,98 +386,55 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         },
         _ => {}
     }
-    if (which == "cache" || which == "artifact") && model_cache.is_none() {
-        return Err(format!("{which} requires --model-cache <dir>"));
-    }
-    if model_cache.is_some()
-        && !matches!(
-            which.as_str(),
-            "batch" | "all" | "cache" | "artifact" | "serve"
-        )
-    {
-        return Err(
-            "--model-cache only applies to `batch`, `all`, `cache`, `artifact` or `serve`"
-                .to_string(),
-        );
-    }
-    if which == "perf-check" && baseline.is_none() {
-        return Err("perf-check requires --baseline <path>".to_string());
-    }
-    if baseline.is_some() && which != "perf-check" {
-        return Err("--baseline only applies to `perf-check`".to_string());
-    }
-    if tolerance.is_some() && which != "perf-check" {
-        return Err("--tolerance only applies to `perf-check`".to_string());
-    }
-    if golden_path.is_some() && which != "stats-check" {
-        return Err("--golden only applies to `stats-check`".to_string());
-    }
-    if update_golden && which != "stats-check" {
-        return Err("--update only applies to `stats-check`".to_string());
-    }
-    if which == "stats-check" && golden_path.is_none() {
-        return Err("stats-check requires --golden <path>".to_string());
-    }
-    if batch.is_some() && which != "batch" && which != "all" {
-        return Err("--batch only applies to `batch` or `all`".to_string());
-    }
-    if which != "diffcheck" {
-        if cases.is_some() {
-            return Err("--cases only applies to `diffcheck`".to_string());
+    for flag in FLAGS {
+        let (needed_by, metavar) = flag.required_by;
+        let present = given.contains_key(flag.name);
+        if !present && needed_by.contains(&which.as_str()) {
+            return Err(format!("{which} requires {} <{metavar}>", flag.name));
         }
-        if shrink {
-            return Err("--shrink only applies to `diffcheck`".to_string());
-        }
-        if repro_dir.is_some() {
-            return Err("--repro-dir only applies to `diffcheck`".to_string());
+        if present && !flag.scope.is_empty() && !flag.scope.contains(&which.as_str()) {
+            return Err(format!(
+                "{} only applies to {}",
+                flag.name,
+                one_of(flag.scope)
+            ));
         }
     }
-    if diff_seed.is_some() && !matches!(which.as_str(), "diffcheck" | "chaos" | "serve") {
-        return Err("--seed only applies to `diffcheck`, `chaos` or `serve`".to_string());
-    }
-    if campaign.is_some() && which != "chaos" {
-        return Err("--campaign only applies to `chaos`".to_string());
-    }
-    if which != "serve" {
-        let serve_only: [(&str, bool); 13] = [
-            ("--clients", clients.is_some()),
-            ("--requests", requests.is_some()),
-            ("--lambda", lambda.is_some()),
-            ("--mix", mix.is_some()),
-            ("--max-batch", max_batch.is_some()),
-            ("--max-wait", max_wait.is_some()),
-            ("--queue-cap", queue_cap.is_some()),
-            ("--fleet-cores", fleet_cores.is_some()),
-            ("--deadline", deadline.is_some()),
-            ("--slo-class", slo_class.is_some()),
-            ("--brownout", brownout.is_some()),
-            ("--retry-budget", retry_budget.is_some()),
-            ("--chaos", chaos_load),
-        ];
-        if let Some((flag, _)) = serve_only.iter().find(|(_, set)| *set) {
-            return Err(format!("{flag} only applies to `serve`"));
-        }
-    }
+
+    let slo_classes = match given.remove("--slo-class") {
+        Some(Value::Classes(classes)) => Some(classes),
+        _ => None,
+    };
+    let set = |name: &str| given.contains_key(name);
+    let text = |name: &str| match given.get(name) {
+        Some(Value::Text(s)) => Some(s.clone()),
+        _ => None,
+    };
+    let int = |name: &str| match given.get(name) {
+        Some(Value::Int(n)) => Some(*n),
+        _ => None,
+    };
+    let model_cache = text("--model-cache");
     let serve_defaults = bench::serve_cli::ServeArgs::default();
     let serve = bench::serve_cli::ServeArgs {
-        seed: diff_seed.unwrap_or(serve_defaults.seed),
-        clients: clients.unwrap_or(serve_defaults.clients),
-        requests: requests.unwrap_or(serve_defaults.requests),
-        lambda: lambda.unwrap_or(serve_defaults.lambda),
-        mix,
-        max_batch: max_batch.unwrap_or(serve_defaults.max_batch),
-        max_wait: max_wait.unwrap_or(serve_defaults.max_wait),
-        queue_cap: queue_cap.unwrap_or(serve_defaults.queue_cap),
-        fleet_cores: fleet_cores.unwrap_or(serve_defaults.fleet_cores),
-        deadline,
-        slo_classes: slo_class,
-        brownout: brownout.unwrap_or(serve_defaults.brownout),
-        retry_budget: retry_budget.unwrap_or(serve_defaults.retry_budget),
-        chaos: chaos_load,
+        seed: int("--seed").unwrap_or(serve_defaults.seed),
+        clients: int("--clients").map_or(serve_defaults.clients, |n| n as usize),
+        requests: int("--requests").map_or(serve_defaults.requests, |n| n as usize),
+        lambda: int("--lambda").unwrap_or(serve_defaults.lambda),
+        mix: text("--mix"),
+        max_batch: int("--max-batch").map_or(serve_defaults.max_batch, |n| n as usize),
+        max_wait: int("--max-wait").unwrap_or(serve_defaults.max_wait),
+        queue_cap: int("--queue-cap").map_or(serve_defaults.queue_cap, |n| n as usize),
+        fleet_cores: int("--fleet-cores").map_or(serve_defaults.fleet_cores, |n| n as usize),
+        deadline: int("--deadline"),
+        slo_classes,
+        brownout: int("--brownout").map_or(serve_defaults.brownout, |n| n as u16),
+        retry_budget: int("--retry-budget").map_or(serve_defaults.retry_budget, |n| n as u32),
+        chaos: set("--chaos"),
         model_cache: (which == "serve")
             .then(|| model_cache.clone().map(std::path::PathBuf::from))
             .flatten(),
-        quick,
+        quick: set("--quick"),
     };
     // Cross-flag conflicts (e.g. --brownout without a best-effort tenant)
     // fail at parse time with the flag named, not mid-run.
@@ -559,23 +444,26 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     Ok(Cli {
         which,
         sub,
-        quick,
-        json_path,
-        metrics_path,
-        golden_path,
-        update_golden,
-        trace,
-        threads,
-        batch: batch.unwrap_or(1),
+        quick: set("--quick"),
+        json_path: text("--json"),
+        metrics_path: text("--metrics"),
+        golden_path: text("--golden"),
+        update_golden: set("--update"),
+        trace: set("--trace"),
+        threads: int("--threads").map(|n| n as usize),
+        batch: int("--batch").map_or(1, |n| n as usize),
         model_cache,
-        baseline,
-        tolerance: tolerance.unwrap_or(bench::perf_gate::DEFAULT_TOLERANCE),
-        cases: cases.unwrap_or(500),
-        diff_seed: diff_seed.unwrap_or(1),
-        shrink,
-        repro_dir,
-        campaign: campaign.unwrap_or(25),
-        timeout_secs,
+        baseline: text("--baseline"),
+        tolerance: match given.get("--tolerance") {
+            Some(Value::Ratio(x)) => *x,
+            _ => bench::perf_gate::DEFAULT_TOLERANCE,
+        },
+        cases: int("--cases").unwrap_or(500),
+        diff_seed: int("--seed").unwrap_or(1),
+        shrink: set("--shrink"),
+        repro_dir: text("--repro-dir"),
+        campaign: int("--campaign").unwrap_or(25),
+        timeout_secs: int("--timeout-secs"),
         serve,
     })
 }
@@ -705,14 +593,6 @@ fn run_one(
                 "motivation",
                 motivation::render(&rows),
                 rows_json("motivation", &rows)?,
-            );
-        }
-        "multicore" => {
-            let rows = multicore_scaling::run(cache);
-            emit(
-                "multicore",
-                multicore_scaling::render(&rows),
-                rows_json("multicore", &rows)?,
             );
         }
         "scaling" => {
@@ -1484,5 +1364,120 @@ fn stats_check(cli: &Cli, cache: &mut StatsCache, watchdog: &Option<Watchdog>) -
         }
         eprintln!("(run `repro stats-check --golden {golden_path} --update` to accept)");
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    /// A value every row accepts, or `None` for a switch.
+    fn valid_value(flag: &Flag) -> Option<String> {
+        match flag.kind {
+            Kind::Switch => None,
+            Kind::Text => Some("x".to_string()),
+            Kind::Int { min, .. } => Some(min.to_string()),
+            Kind::Ratio { min } => Some(min.to_string()),
+            Kind::Classes => Some("interactive".to_string()),
+        }
+    }
+
+    #[test]
+    fn every_flag_row_names_itself_in_its_errors() {
+        for flag in FLAGS {
+            let name = flag.name;
+            if valid_value(flag).is_some() {
+                let err = parse(&["fig1", name]).err().unwrap_or_default();
+                assert_eq!(err, format!("{name} requires {}", flag.needs));
+            }
+            if !flag.scope.is_empty() {
+                assert!(!flag.scope.contains(&"fig1"), "{name}");
+                let mut args = vec!["fig1", name];
+                let value = valid_value(flag);
+                args.extend(value.as_deref());
+                let err = parse(&args).err().unwrap_or_default();
+                assert!(
+                    err.starts_with(&format!("{name} only applies to `")),
+                    "{name}: {err}"
+                );
+                assert!(
+                    flag.scope.iter().all(|w| err.contains(&format!("`{w}`"))),
+                    "{name}: {err}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn errors_keep_their_exact_wording() {
+        let cases = [
+            (
+                "fig1 --seed 3",
+                "--seed only applies to `diffcheck`, `chaos` or `serve`",
+            ),
+            (
+                "serve --batch 2",
+                "--batch only applies to `batch` or `all`",
+            ),
+            (
+                "chaos --tolerance 2",
+                "--tolerance only applies to `perf-check`",
+            ),
+            (
+                "perf-check --baseline b --tolerance NaN",
+                "--tolerance must be at least 1.0",
+            ),
+            (
+                "serve --brownout 70000",
+                "invalid brownout permille `70000`",
+            ),
+            (
+                "serve --brownout 1001",
+                "--brownout must be within 1..=1000 permille (got 1001)",
+            ),
+            (
+                "serve --retry-budget 4294967296",
+                "invalid retry budget `4294967296`",
+            ),
+            (
+                "serve --lambda 0",
+                "--lambda must be at least 1 request per megatick",
+            ),
+            ("fig1 --threads -1", "invalid thread count `-1`"),
+            ("stats-check", "stats-check requires --golden <path>"),
+            ("cache stats", "cache requires --model-cache <dir>"),
+        ];
+        for (args, want) in cases {
+            let args: Vec<&str> = args.split(' ').collect();
+            assert_eq!(parse(&args).err().as_deref(), Some(want), "{args:?}");
+        }
+        assert_eq!(
+            parse(&["fig1", "--model-cache", "d"]).err().as_deref(),
+            Some("--model-cache only applies to `batch`, `all`, `cache`, `artifact` or `serve`")
+        );
+    }
+
+    #[test]
+    fn defaults_hold_when_no_flag_is_given() {
+        let cli = parse(&["fig1"]).unwrap();
+        assert!(!cli.quick && !cli.trace && !cli.shrink && !cli.update_golden);
+        assert_eq!(
+            (cli.batch, cli.cases, cli.diff_seed, cli.campaign),
+            (1, 500, 1, 25)
+        );
+        assert_eq!(cli.tolerance, bench::perf_gate::DEFAULT_TOLERANCE);
+        assert_eq!(cli.threads, None);
+        // `quick` follows `--quick`; everything else is the serve default.
+        let serve = parse(&["serve"]).unwrap().serve;
+        let want = bench::serve_cli::ServeArgs {
+            quick: false,
+            ..Default::default()
+        };
+        assert_eq!(serve, want);
+        assert_eq!(parse(&["--batch", "8"]).unwrap().which, "batch");
     }
 }

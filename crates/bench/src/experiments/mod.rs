@@ -11,6 +11,5 @@ pub mod fig17;
 pub mod fig18;
 pub mod fig19;
 pub mod motivation;
-pub mod multicore_scaling;
 pub mod scaling;
 pub mod table6;

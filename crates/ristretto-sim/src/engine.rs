@@ -840,8 +840,7 @@ pub fn compile(
 pub struct SessionRun {
     /// Final activation tensor.
     pub output: Tensor3,
-    /// Per-layer execution traces (byte-identical to the per-call
-    /// [`crate::pipeline::FunctionalPipeline::run`] path).
+    /// Per-layer execution traces.
     pub traces: Vec<LayerTrace>,
     /// Fault-campaign counters; all-zero when no campaign is configured.
     pub faults: FaultStats,
@@ -1090,35 +1089,10 @@ impl Session {
     }
 }
 
-/// Crate-internal bridge for [`crate::pipeline::FunctionalPipeline`]: one
-/// layer compiled transiently and executed immediately (the pre-engine
-/// behavior, kept byte-identical).
-pub(crate) fn compile_and_execute_layer(
-    layer: &PipelineLayer,
-    csc: &CscConfig,
-    act: &Tensor3,
-) -> Result<(Tensor3, LayerTrace), AtomError> {
-    let weights = WeightStreamSet::compile(&layer.kernels, layer.w_bits, csc.atom_bits)?;
-    let compiled = CompiledLayer {
-        name: layer.name.clone(),
-        weights,
-        kernels: layer.kernels.clone(),
-        geom: layer.geom,
-        a_bits: layer.a_bits,
-        requant_shift: layer.requant_shift,
-        out_bits: layer.out_bits,
-        pool: layer.pool,
-        weight_atoms_per_channel: Vec::new(),
-        weight_buffer_bits: None,
-        static_groups: Vec::new(),
-    };
-    compiled.execute(csc, act, &CscScratch::new())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::FunctionalPipeline;
+    use crate::pipeline::dense_reference;
     use qnn::models::NetworkId;
     use qnn::workload::ActivationProfile;
 
@@ -1167,24 +1141,38 @@ mod tests {
     }
 
     #[test]
-    fn session_matches_functional_pipeline() {
+    fn session_matches_dense_reference() {
         let (model, input) = model_and_input(13);
-        let cfg = RistrettoConfig::paper_default();
-        let compiled = compile(&model, &cfg).unwrap();
-        let run = Session::new(compiled).run(&input).unwrap();
-
-        let pipeline = FunctionalPipeline::new(
-            model.layers.clone(),
-            CscConfig {
-                atom_bits: cfg.atom_bits,
-                multipliers: cfg.multipliers,
-                tile_h: cfg.tile_h,
-                tile_w: cfg.tile_w,
-            },
-        );
-        let (out, traces) = pipeline.run(&input).unwrap();
-        assert_eq!(run.output, out);
-        assert_eq!(run.traces, traces);
+        let compiled = compile(&model, &RistrettoConfig::paper_default()).unwrap();
+        for threads in [1, 4] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let run = pool
+                .install(|| Session::new(compiled.clone()).run(&input))
+                .unwrap();
+            assert_eq!(
+                run.output,
+                dense_reference(&model.layers, &input).unwrap(),
+                "output differs at {threads} threads"
+            );
+            // Each layer's work counters are those of the one-shot CSC
+            // convolution over that layer's dense-reference input.
+            for (i, (layer, trace)) in model.layers.iter().zip(&run.traces).enumerate() {
+                let layer_input = dense_reference(&model.layers[..i], &input).unwrap();
+                let direct = atomstream::conv_csc::conv2d_csc(
+                    &layer_input,
+                    &layer.kernels,
+                    layer.geom,
+                    layer.a_bits,
+                    layer.w_bits,
+                    compiled.csc_config(),
+                )
+                .unwrap();
+                assert_eq!(trace.stats, direct.stats, "layer {i} at {threads} threads");
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Sharded fleet-scale simulation of the Fig 7 multi-core organization.
 //!
-//! Where [`crate::multicore`] scales the analytic closed form, this module
-//! is a *first-class* multi-core layer: it shards a **compiled** network
+//! The fleet *executes* the paper's core array rather than scaling the
+//! Eq 3–5 closed form: it shards a **compiled** network
 //! ([`crate::engine::compile`]) across N cores under explicit strategies,
 //! drives every shard through the same execution path a single-core
 //! [`Session`] uses, and routes inter-core activation traffic through the

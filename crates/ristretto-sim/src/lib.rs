@@ -17,8 +17,7 @@
 //! baseline machines. [`fleet`] scales the engine to a core array (Fig 7):
 //! it shards a compiled network under explicit strategies and routes
 //! inter-core activation traffic through the deterministic [`noc`]
-//! queueing model, while [`multicore`] keeps the closed-form scaling
-//! estimate. [`serve`] deploys it all as a long-lived multi-tenant
+//! queueing model. [`serve`] deploys it all as a long-lived multi-tenant
 //! serving layer: a content-addressed model registry, a bounded request
 //! queue with weighted fair dequeue, and a continuous-batching scheduler
 //! in virtual time, driven by a seeded closed-loop load generator.
@@ -46,7 +45,6 @@ pub mod engine;
 pub mod fault;
 pub mod fleet;
 pub mod modelcache;
-pub mod multicore;
 pub mod noc;
 pub mod pipeline;
 pub mod ppu;
@@ -74,7 +72,7 @@ pub mod prelude {
     pub use crate::fleet::{Fleet, FleetReport, FleetRun, ShardPlan, ShardStrategy};
     pub use crate::modelcache::{compile_cached, CacheError, CacheKey, CacheStats, ModelCache};
     pub use crate::noc::{Noc, NocConfig, NocReport};
-    pub use crate::pipeline::{FunctionalPipeline, PipelineLayer};
+    pub use crate::pipeline::PipelineLayer;
     pub use crate::ppu::{PostProcessor, PpuOutput};
     pub use crate::report::{LayerReport, NetworkReport};
     pub use crate::serve::{

@@ -1,13 +1,16 @@
-//! Functional multi-layer inference through the condensed streaming
-//! computation.
+//! The layer plan of functional multi-layer inference, and its dense
+//! reference.
 //!
-//! Chains CSC convolutions with the PPU between layers (ReLU, requantize,
-//! compress, count statistics) and optional pooling — the full §IV
-//! workflow at the functional level. Every layer is checked against the
-//! dense reference in the test suite; the collected per-layer traces carry
-//! exactly the statistics the hardware's balancer would see.
+//! A [`PipelineLayer`] is one CSC convolution plus the PPU work after it
+//! (ReLU, requantize, compress, count statistics) and optional pooling —
+//! the full §IV workflow at the functional level. [`crate::engine::compile`]
+//! turns a list of them into static artifacts and [`crate::engine::Session`]
+//! runs them, recording one [`LayerTrace`] per layer with exactly the
+//! statistics the hardware's balancer would see. [`dense_reference`] runs
+//! the same math through [`qnn::conv::conv2d`]; the test suite checks every
+//! CSC path against it.
 
-use atomstream::conv_csc::{CscConfig, CscStats};
+use atomstream::conv_csc::CscStats;
 use atomstream::error::AtomError;
 use qnn::conv::ConvGeometry;
 use qnn::pool::{pool2d, PoolKind};
@@ -50,73 +53,43 @@ pub struct LayerTrace {
     pub out_atoms_per_channel: Vec<u64>,
 }
 
-/// A functional CSC inference pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FunctionalPipeline {
-    layers: Vec<PipelineLayer>,
-    cfg: CscConfig,
-}
-
-impl FunctionalPipeline {
-    /// Builds a pipeline over the given layers with a shared CSC
-    /// configuration.
-    pub fn new(layers: Vec<PipelineLayer>, cfg: CscConfig) -> Self {
-        Self { layers, cfg }
+/// The dense reference of a layer plan: per layer the dense convolution
+/// ([`qnn::conv::conv2d`]), the PPU's requantize + ReLU, then the optional
+/// pool. Used to verify every CSC execution path.
+///
+/// # Errors
+/// Propagates geometry errors.
+pub fn dense_reference(layers: &[PipelineLayer], input: &Tensor3) -> Result<Tensor3, AtomError> {
+    let mut act = input.clone();
+    for layer in layers {
+        let acc = qnn::conv::conv2d(&act, &layer.kernels, layer.geom)?;
+        let requant = acc.requantize_relu(layer.requant_shift, layer.out_bits);
+        act = match layer.pool {
+            Some((kind, window, stride, padding)) => {
+                pool2d(&requant, kind, window, stride, padding)?
+            }
+            None => requant,
+        };
     }
-
-    /// The layer list.
-    pub fn layers(&self) -> &[PipelineLayer] {
-        &self.layers
-    }
-
-    /// Runs inference, returning the final activation tensor and per-layer
-    /// traces.
-    ///
-    /// Each call compiles every layer's static weight stream transiently
-    /// and discards it afterwards; [`crate::engine::compile`] hoists that
-    /// work out of the loop and amortizes it across inputs — both paths
-    /// share one layer executor, so their results are identical.
-    ///
-    /// # Errors
-    /// Propagates CSC and geometry errors from any stage.
-    pub fn run(&self, input: &Tensor3) -> Result<(Tensor3, Vec<LayerTrace>), AtomError> {
-        let mut act = input.clone();
-        let mut traces = Vec::with_capacity(self.layers.len());
-        for layer in &self.layers {
-            let (next, trace) = crate::engine::compile_and_execute_layer(layer, &self.cfg, &act)?;
-            act = next;
-            traces.push(trace);
-        }
-        Ok((act, traces))
-    }
-
-    /// The dense reference path: identical math through
-    /// [`qnn::conv::conv2d`], used for verification.
-    ///
-    /// # Errors
-    /// Propagates geometry errors.
-    pub fn run_dense_reference(&self, input: &Tensor3) -> Result<Tensor3, AtomError> {
-        let mut act = input.clone();
-        for layer in &self.layers {
-            let acc = qnn::conv::conv2d(&act, &layer.kernels, layer.geom)?;
-            let requant = acc.requantize_relu(layer.requant_shift, layer.out_bits);
-            act = match layer.pool {
-                Some((kind, window, stride, padding)) => {
-                    pool2d(&requant, kind, window, stride, padding)?
-                }
-                None => requant,
-            };
-        }
-        Ok(act)
-    }
+    Ok(act)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::RistrettoConfig;
+    use crate::engine::{compile, NetworkModel, Session, SessionRun};
     use qnn::workload::{ActivationProfile, WeightProfile, WorkloadGen};
 
-    fn three_layer_pipeline(seed: u64) -> (FunctionalPipeline, Tensor3) {
+    /// Compiles `layers` and runs one session over `input`.
+    fn session_run(layers: &[PipelineLayer], cfg: &RistrettoConfig, input: &Tensor3) -> SessionRun {
+        let model = NetworkModel::new("test", input.shape(), layers.to_vec());
+        Session::new(compile(&model, cfg).unwrap())
+            .run(input)
+            .unwrap()
+    }
+
+    fn three_layer_pipeline(seed: u64) -> (Vec<PipelineLayer>, Tensor3) {
         let mut gen = WorkloadGen::new(seed);
         let input = gen
             .activations(3, 16, 16, &ActivationProfile::new(BitWidth::W8))
@@ -154,25 +127,26 @@ mod tests {
                 pool: None,
             },
         ];
-        (FunctionalPipeline::new(layers, CscConfig::default()), input)
+        (layers, input)
     }
 
     #[test]
     fn csc_pipeline_matches_dense_reference_end_to_end() {
+        let cfg = RistrettoConfig::paper_default();
         for seed in [1u64, 2, 3] {
-            let (p, input) = three_layer_pipeline(seed);
-            let (csc_out, traces) = p.run(&input).unwrap();
-            let dense_out = p.run_dense_reference(&input).unwrap();
-            assert_eq!(csc_out, dense_out, "seed {seed}");
-            assert_eq!(traces.len(), 3);
-            assert!(traces.iter().all(|t| t.stats.intersect.atom_mults > 0));
+            let (layers, input) = three_layer_pipeline(seed);
+            let run = session_run(&layers, &cfg, &input);
+            let dense_out = dense_reference(&layers, &input).unwrap();
+            assert_eq!(run.output, dense_out, "seed {seed}");
+            assert_eq!(run.traces.len(), 3);
+            assert!(run.traces.iter().all(|t| t.stats.intersect.atom_mults > 0));
         }
     }
 
     #[test]
     fn ppu_statistics_describe_next_layer_input() {
-        let (p, input) = three_layer_pipeline(7);
-        let (_, traces) = p.run(&input).unwrap();
+        let (layers, input) = three_layer_pipeline(7);
+        let traces = session_run(&layers, &RistrettoConfig::paper_default(), &input).traces;
         // conv2's input is conv1's pooled output; without pooling the PPU
         // counts would match the next layer's measured input exactly. For
         // conv3 (no pool on conv2) they must match.
@@ -225,16 +199,12 @@ mod tests {
             in_c = out_c;
         }
         // First layer consumes 4-bit input; widths still declared W8-safe.
-        let p = FunctionalPipeline::new(
-            layers,
-            CscConfig {
-                tile_h: 4,
-                tile_w: 4,
-                ..CscConfig::default()
-            },
-        );
-        let (a, _) = p.run(&input).unwrap();
-        let b = p.run_dense_reference(&input).unwrap();
-        assert_eq!(a, b);
+        let cfg = RistrettoConfig {
+            tile_h: 4,
+            tile_w: 4,
+            ..RistrettoConfig::paper_default()
+        };
+        let run = session_run(&layers, &cfg, &input);
+        assert_eq!(run.output, dense_reference(&layers, &input).unwrap());
     }
 }

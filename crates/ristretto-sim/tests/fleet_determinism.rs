@@ -7,10 +7,8 @@
 //! Sharded outputs are also checked against an inline dense reference,
 //! which shares no code with the CSC kernel.
 
-use qnn::conv::conv2d;
 use qnn::mini::MiniNetwork;
 use qnn::models::NetworkId;
-use qnn::pool::pool2d;
 use qnn::quant::BitWidth;
 use qnn::tensor::Tensor3;
 use qnn::workload::{ActivationProfile, WeightProfile, WorkloadGen};
@@ -18,6 +16,7 @@ use ristretto_sim::config::{FleetConfig, RistrettoConfig};
 use ristretto_sim::engine::{compile, CompiledNetwork, NetworkModel, Session};
 use ristretto_sim::fault::CoreDeathConfig;
 use ristretto_sim::fleet::{Fleet, FleetRun, ShardStrategy};
+use ristretto_sim::pipeline::dense_reference;
 use std::sync::Arc;
 
 const CORE_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -199,22 +198,6 @@ fn core_death_chaos_reproduces_fault_free_bytes_at_any_thread_count() {
     assert!(runs[0].report.latency_cycles > clean.report.latency_cycles);
 }
 
-/// The dense reference of a whole network: per layer the dense
-/// convolution, the PPU's requantize + ReLU, then the optional pool.
-fn dense_reference(model: &NetworkModel, input: &Tensor3) -> Tensor3 {
-    model.layers.iter().fold(input.clone(), |act, l| {
-        let out = conv2d(&act, &l.kernels, l.geom)
-            .unwrap()
-            .requantize_relu(l.requant_shift, l.out_bits);
-        match l.pool {
-            Some((kind, window, stride, padding)) => {
-                pool2d(&out, kind, window, stride, padding).unwrap()
-            }
-            None => out,
-        }
-    })
-}
-
 /// Output-channel and hybrid sharding against the dense reference on all
 /// six mini networks. Comparing `Fleet` with `Session` alone would miss a
 /// kernel bug, since both run the same kernel.
@@ -232,7 +215,10 @@ fn sharded_fleets_match_the_dense_reference_on_every_mini_network() {
                     .unwrap()
             })
             .collect();
-        let want: Vec<Tensor3> = inputs.iter().map(|x| dense_reference(&model, x)).collect();
+        let want: Vec<Tensor3> = inputs
+            .iter()
+            .map(|x| dense_reference(&model.layers, x).unwrap())
+            .collect();
         let net = compile(&model, &RistrettoConfig::paper_default()).unwrap();
         for strategy in [ShardStrategy::OutputChannel, ShardStrategy::Hybrid(2)] {
             let fleet = Fleet::try_new(net.clone(), FleetConfig::new(4, strategy)).unwrap();

@@ -13,7 +13,7 @@ use ristretto::qnn::quant::BitWidth;
 use ristretto::qnn::workload::{ActivationProfile, WeightProfile, WorkloadGen};
 use ristretto::ristretto_sim::config::RistrettoConfig;
 use ristretto::ristretto_sim::engine::{compile, NetworkModel, Session};
-use ristretto::ristretto_sim::pipeline::FunctionalPipeline;
+use ristretto::ristretto_sim::pipeline::dense_reference;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = RistrettoConfig::paper_default();
@@ -35,10 +35,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let session = Session::new(compiled.clone());
         let run = session.run(&input)?;
 
-        let reference = FunctionalPipeline::new(model.layers.clone(), *compiled.csc_config());
         assert_eq!(
             run.output,
-            reference.run_dense_reference(&input)?,
+            dense_reference(&model.layers, &input)?,
             "CSC must match dense"
         );
 

@@ -13,7 +13,7 @@ use rayon::ThreadPoolBuilder;
 use ristretto_sim::config::RistrettoConfig;
 use ristretto_sim::core::CoreSim;
 use ristretto_sim::engine::{compile, NetworkModel, Session};
-use ristretto_sim::pipeline::FunctionalPipeline;
+use ristretto_sim::pipeline::dense_reference;
 
 fn materialized(seed: u64) -> SyntheticLayer {
     let layer = qnn::layers::ConvLayer::conv("eq", 10, 12, 3, 1, 1, 13, 13).unwrap();
@@ -84,7 +84,7 @@ fn precompiled_streams_match_direct_core_report() {
 }
 
 #[test]
-fn compiled_session_matches_functional_pipeline() {
+fn compiled_session_matches_dense_reference() {
     let mini = MiniNetwork::try_new(NetworkId::ResNet18).unwrap();
     let mut gen = WorkloadGen::new(107);
     let (c, h, w) = mini.input;
@@ -95,20 +95,37 @@ fn compiled_session_matches_functional_pipeline() {
         NetworkModel::from_mini(&mini, &mut gen, &WeightProfile::benchmark(BitWidth::W4)).unwrap();
     let cfg = RistrettoConfig::paper_default();
     let compiled = compile(&model, &cfg).unwrap();
-    let pipeline = FunctionalPipeline::new(model.layers.clone(), *compiled.csc_config());
+    // Each layer's input on the dense path, and the one-shot CSC counters
+    // over it.
+    let layer_inputs: Vec<_> = (0..model.layers.len())
+        .map(|i| dense_reference(&model.layers[..i], &input).unwrap())
+        .collect();
     for threads in [1, 4] {
         with_threads(threads, || {
-            let session = Session::new(compiled.clone());
-            let run = session.run(&input).unwrap();
-            let (direct_out, direct_traces) = pipeline.run(&input).unwrap();
+            let run = Session::new(compiled.clone()).run(&input).unwrap();
             assert_eq!(
-                run.output, direct_out,
+                run.output,
+                dense_reference(&model.layers, &input).unwrap(),
                 "output differs at {threads} threads"
             );
-            assert_eq!(
-                run.traces, direct_traces,
-                "traces differ at {threads} threads"
-            );
+            for ((layer, layer_input), trace) in
+                model.layers.iter().zip(&layer_inputs).zip(&run.traces)
+            {
+                let direct = conv2d_csc(
+                    layer_input,
+                    &layer.kernels,
+                    layer.geom,
+                    layer.a_bits,
+                    layer.w_bits,
+                    compiled.csc_config(),
+                )
+                .unwrap();
+                assert_eq!(
+                    trace.stats, direct.stats,
+                    "{} CscStats differ at {threads} threads",
+                    layer.name
+                );
+            }
         });
     }
 }

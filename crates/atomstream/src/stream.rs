@@ -68,9 +68,23 @@ pub struct WeightEntry {
 }
 
 /// A condensed activation atom stream for one channel of one tile.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ActivationStream {
     entries: Vec<ActEntry>,
+}
+
+// By hand so `clone_from` reuses the entry buffer: the fault path re-copies
+// a clean stream into one working copy per tile attempt.
+impl Clone for ActivationStream {
+    fn clone(&self) -> Self {
+        Self {
+            entries: self.entries.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.entries.clone_from(&source.entries);
+    }
 }
 
 impl ActivationStream {
@@ -82,6 +96,11 @@ impl ActivationStream {
     /// The stream's entries in order.
     pub fn entries(&self) -> &[ActEntry] {
         &self.entries
+    }
+
+    /// Mutable view of the entries in order (the fault-injection surface).
+    pub fn entries_mut(&mut self) -> &mut [ActEntry] {
+        &mut self.entries
     }
 
     /// Number of atoms.
@@ -116,9 +135,23 @@ impl ActivationStream {
 
 /// A condensed weight atom stream for one input channel (spanning all the
 /// kernels / output channels mapped to a compute tile).
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct WeightStream {
     entries: Vec<WeightEntry>,
+}
+
+// By hand so `clone_from` reuses the entry buffer: the fault path re-copies
+// a clean stream into one working copy per tile attempt.
+impl Clone for WeightStream {
+    fn clone(&self) -> Self {
+        Self {
+            entries: self.entries.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.entries.clone_from(&source.entries);
+    }
 }
 
 impl WeightStream {
@@ -139,6 +172,11 @@ impl WeightStream {
     /// The stream's entries in order.
     pub fn entries(&self) -> &[WeightEntry] {
         &self.entries
+    }
+
+    /// Mutable view of the entries in order (the fault-injection surface).
+    pub fn entries_mut(&mut self) -> &mut [WeightEntry] {
+        &mut self.entries
     }
 
     /// Number of atoms.

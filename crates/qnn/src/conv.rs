@@ -2,12 +2,13 @@
 //!
 //! This is the ground truth against which the condensed streaming
 //! computation (`atomstream` crate) and every accelerator model are
-//! validated. It is a direct (non-im2col) implementation with explicit
+//! validated. It is a direct (non-im2col) implementation with implicit
 //! zero padding and arbitrary stride, accumulating in `i64`.
 
 use crate::error::QnnError;
 use crate::tensor::{AccTensor3, Tensor3, Tensor4};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Convolution geometry: kernel size is carried by the weight tensor; this
 /// struct holds stride and padding.
@@ -96,30 +97,60 @@ pub fn conv2d(
     let h_out = geom.out_extent(h, kh)?;
     let w_out = geom.out_extent(w, kw)?;
     let mut out = AccTensor3::zeros(o, h_out, w_out)?;
-    let pad = geom.padding as isize;
-    for oc in 0..o {
-        for oy in 0..h_out {
-            for ox in 0..w_out {
-                let mut acc: i64 = 0;
-                let base_y = (oy * geom.stride) as isize - pad;
-                let base_x = (ox * geom.stride) as isize - pad;
-                for ic in 0..c {
-                    for ky in 0..kh {
-                        for kx in 0..kw {
-                            let a = fmap.get_padded(ic, base_y + ky as isize, base_x + kx as isize);
-                            if a == 0 {
-                                continue;
+    let (stride, pad) = (geom.stride, geom.padding);
+    // Weight-stationary: each nonzero tap sweeps the output rows and
+    // columns whose input coordinate lands inside the unpadded map, so no
+    // tap reads padding and no zero weight is multiplied. Every product is
+    // exact in i64, so the sum does not depend on this order.
+    let y_ranges: Vec<Range<usize>> = (0..kh).map(|ky| tap_range(ky, h, h_out, geom)).collect();
+    let x_ranges: Vec<Range<usize>> = (0..kw).map(|kx| tap_range(kx, w, w_out, geom)).collect();
+    let fdata = fmap.as_slice();
+    for (oc, out_plane) in out
+        .as_mut_slice()
+        .chunks_exact_mut(h_out * w_out)
+        .enumerate()
+    {
+        for ic in 0..c {
+            let in_plane = &fdata[ic * h * w..(ic + 1) * h * w];
+            let taps = kernels.kernel_slice(oc, ic);
+            for (ky, ys) in y_ranges.iter().enumerate() {
+                for (kx, xs) in x_ranges.iter().enumerate() {
+                    let wv = taps[ky * kw + kx] as i64;
+                    if wv == 0 || xs.is_empty() {
+                        continue;
+                    }
+                    let ix0 = xs.start * stride + kx - pad;
+                    for oy in ys.clone() {
+                        let iy = oy * stride + ky - pad;
+                        let in_row = &in_plane[iy * w + ix0..(iy + 1) * w];
+                        let out_row = &mut out_plane[oy * w_out + xs.start..oy * w_out + xs.end];
+                        if stride == 1 {
+                            for (acc, &a) in out_row.iter_mut().zip(in_row) {
+                                *acc += a as i64 * wv;
                             }
-                            let wv = kernels.get(oc, ic, ky, kx);
-                            acc += a as i64 * wv as i64;
+                        } else {
+                            for (acc, &a) in out_row.iter_mut().zip(in_row.iter().step_by(stride)) {
+                                *acc += a as i64 * wv;
+                            }
                         }
                     }
                 }
-                out.set(oc, oy, ox, acc);
             }
         }
     }
     Ok(out)
+}
+
+/// The output positions along one axis at which kernel offset `t` reads an
+/// unpadded input coordinate `o·stride + t − padding ∈ [0, n)`.
+fn tap_range(t: usize, n: usize, n_out: usize, geom: ConvGeometry) -> Range<usize> {
+    let (s, p) = (geom.stride, geom.padding);
+    if n + p <= t {
+        return 0..0;
+    }
+    let lo = p.saturating_sub(t).div_ceil(s);
+    let hi = ((n - 1 + p - t) / s + 1).min(n_out);
+    lo..hi.max(lo)
 }
 
 /// Floating-point convolution used for quantization-error studies; same

@@ -494,6 +494,11 @@ impl AccTensor3 {
         &self.data
     }
 
+    /// Mutable flat view of the underlying buffer.
+    pub fn as_mut_slice(&mut self) -> &mut [i64] {
+        &mut self.data
+    }
+
     /// Number of non-zero elements.
     pub fn count_nonzero(&self) -> usize {
         self.data.iter().filter(|&&v| v != 0).count()

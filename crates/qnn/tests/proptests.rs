@@ -124,3 +124,39 @@ proptest! {
         prop_assert!(atoms <= mag_bits.div_ceil(g as u32).max(1));
     }
 }
+
+proptest! {
+    // The dense oracle itself, against an independent GEMM formulation, over
+    // the geometry corners the direct loop special-cases: kernels wider than
+    // the unpadded input, strides above 1, and half-zero kernels.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn weight_stationary_conv_matches_im2col_on_wide_kernels(
+        seed in 0u64..1_000_000,
+        c in 1usize..=3,
+        o in 1usize..=3,
+        k in 1usize..=7,
+        h in 1usize..=8,
+        dw in 1usize..=4,
+        wide_first in 0u8..=1,
+        stride in 1usize..=3,
+        pad in 0usize..=3,
+    ) {
+        // Non-square maps, either orientation.
+        let (h, w) = if wide_first == 1 { (h, h + dw) } else { (h + dw, h) };
+        // Kernels may exceed the unpadded input but must fit the padded one.
+        prop_assume!(k <= h.min(w) + 2 * pad);
+        let mut rng = qnn::rng::SeededRng::new(seed);
+        let fmap = Tensor3::from_fn(c, h, w, |_, _, _| rng.below(256) as i32).unwrap();
+        let kernels = Tensor4::from_fn(o, c, k, k, |_, _, _, _| {
+            if rng.bernoulli(0.5) { 0 } else { rng.below(255) as i32 - 127 }
+        }).unwrap();
+        let geom = ConvGeometry::new(stride, pad).unwrap();
+        prop_assert_eq!(
+            conv2d(&fmap, &kernels, geom).unwrap(),
+            conv2d_im2col(&fmap, &kernels, geom).unwrap(),
+            "c{} o{} k{} {}x{} s{} p{}", c, o, k, h, w, stride, pad
+        );
+    }
+}

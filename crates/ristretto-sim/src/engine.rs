@@ -389,7 +389,14 @@ impl CompiledLayer {
                         failed: None,
                     });
                 }
-                let mut acc = FullConvAcc::new(o, h, w, k)?;
+                // Per-channel working state reused across tiles and
+                // attempts: the committed accumulator (allocated by the
+                // first committed tile), one scratch plane (zeroed between
+                // attempts) and one working copy of each stream.
+                let mut acc: Option<FullConvAcc> = None;
+                let mut plane: Option<FullConvAcc> = None;
+                let mut w_faulty = WeightStream::default();
+                let mut a_faulty = ActivationStream::default();
                 for y0 in (0..h).step_by(csc.tile_h) {
                     for x0 in (0..w).step_by(csc.tile_w) {
                         let a_flat = flatten_tile(act, ci, y0, x0, csc.tile_h, csc.tile_w);
@@ -401,12 +408,15 @@ impl CompiledLayer {
                         stats.act_values += a_clean.value_count() as u64;
                         stats.act_atoms += a_clean.len() as u64;
                         stats.tiles_processed += 1;
+                        // The reference digest the activation monitor
+                        // checks every attempt against.
+                        let a_checksum = a_clean.checksum();
                         // Logical tile-grid index: stable across thread
                         // counts and attempt numbers.
                         let tile_idx = (y0 / csc.tile_h) * tiles_x + x0 / csc.tile_w;
                         let mut attempt = 0u32;
                         let committed = loop {
-                            let base = FaultSite {
+                            let site = FaultSite {
                                 layer: layer_idx,
                                 channel: ci,
                                 tile: tile_idx,
@@ -417,41 +427,34 @@ impl CompiledLayer {
                             // the buffer read (WeightBuffer) or on the wire
                             // into the Atomputer (WeightStream); both
                             // manifest as value-bit flips on the entry.
-                            let mut w_entries = w_stream.entries().to_vec();
+                            w_faulty.clone_from(w_stream);
+                            let wb_roll = injector.roll(FaultStructure::WeightBuffer, site);
+                            let ws_roll = injector.roll(FaultStructure::WeightStream, site);
                             let (mut wb_cnt, mut ws_cnt) = (0u64, 0u64);
-                            for (idx, e) in w_entries.iter_mut().enumerate() {
-                                let site = FaultSite { item: idx, ..base };
-                                if let Some(ent) =
-                                    injector.decide(FaultStructure::WeightBuffer, site)
-                                {
+                            for (idx, e) in w_faulty.entries_mut().iter_mut().enumerate() {
+                                if let Some(ent) = wb_roll.fires(idx) {
                                     FaultInjector::corrupt_weight_entry(e, ent);
                                     wb_cnt += 1;
                                 }
-                                if let Some(ent) =
-                                    injector.decide(FaultStructure::WeightStream, site)
-                                {
+                                if let Some(ent) = ws_roll.fires(idx) {
                                     FaultInjector::corrupt_weight_entry(e, ent);
                                     ws_cnt += 1;
                                 }
                             }
                             faults.record_injected(FaultStructure::WeightBuffer, wb_cnt);
                             faults.record_injected(FaultStructure::WeightStream, ws_cnt);
-                            let w_faulty = WeightStream::from_entries(w_entries);
                             // Activation side: magnitude-bit flips in the
                             // Atomizer's output stream.
-                            let mut a_entries = a_clean.entries().to_vec();
+                            a_faulty.clone_from(&a_clean);
+                            let as_roll = injector.roll(FaultStructure::ActivationStream, site);
                             let mut as_cnt = 0u64;
-                            for (idx, e) in a_entries.iter_mut().enumerate() {
-                                let site = FaultSite { item: idx, ..base };
-                                if let Some(ent) =
-                                    injector.decide(FaultStructure::ActivationStream, site)
-                                {
+                            for (idx, e) in a_faulty.entries_mut().iter_mut().enumerate() {
+                                if let Some(ent) = as_roll.fires(idx) {
                                     FaultInjector::corrupt_act_entry(e, ent);
                                     as_cnt += 1;
                                 }
                             }
                             faults.record_injected(FaultStructure::ActivationStream, as_cnt);
-                            let a_faulty = ActivationStream::from_entries(a_entries);
                             // Pre-intersect monitors: re-hash both streams
                             // against their reference digests before any
                             // multiply happens.
@@ -466,7 +469,7 @@ impl CompiledLayer {
                                         FaultStructure::WeightStream
                                     });
                                 }
-                                if a_faulty.checksum() != a_clean.checksum() {
+                                if a_faulty.checksum() != a_checksum {
                                     faults
                                         .record_detected(FaultStructure::ActivationStream, as_cnt);
                                     tripped.get_or_insert(FaultStructure::ActivationStream);
@@ -486,23 +489,27 @@ impl CompiledLayer {
                                     continue;
                                 }
                             }
-                            // Intersect into a scratch plane so a rejected
+                            // Intersect into the scratch plane so a rejected
                             // attempt never touches the committed
                             // accumulator.
-                            let mut scratch = FullConvAcc::new(o, h, w, k)?;
-                            let istats =
-                                intersect(&w_faulty, &a_faulty, icfg, &mut scratch, y0, x0)?;
+                            let scratch = match &mut plane {
+                                Some(p) => {
+                                    p.cells_mut().fill(0);
+                                    p
+                                }
+                                None => plane.insert(FullConvAcc::new(o, h, w, k)?),
+                            };
+                            let istats = intersect(&w_faulty, &a_faulty, icfg, scratch, y0, x0)?;
                             let reference_digest = plane_digest(scratch.cells());
                             let expected_sum =
                                 weight_term_sum(&w_faulty) * act_value_sum(&a_faulty);
-                            // Accumulate-buffer faults: word flips over the
-                            // plane this tile pass wrote.
+                            // Accumulate-buffer faults: word flips anywhere
+                            // in the full `o × (h+k−1) × (w+k−1)` scratch
+                            // plane, not only the window this tile wrote.
+                            let acc_roll = injector.roll(FaultStructure::AccumBuffer, site);
                             let mut acc_cnt = 0u64;
                             for (idx, word) in scratch.cells_mut().iter_mut().enumerate() {
-                                let site = FaultSite { item: idx, ..base };
-                                if let Some(ent) =
-                                    injector.decide(FaultStructure::AccumBuffer, site)
-                                {
+                                if let Some(ent) = acc_roll.fires(idx) {
                                     FaultInjector::corrupt_accum_word(word, acc_bits, ent);
                                     acc_cnt += 1;
                                 }
@@ -532,14 +539,21 @@ impl CompiledLayer {
                                 attempt += 1;
                                 continue;
                             }
-                            break Ok((scratch, istats));
+                            break Ok(istats);
                         };
                         match committed {
-                            Ok((scratch, istats)) => {
+                            Ok(istats) => {
                                 if attempt > 0 {
                                     faults.record_recovered_tile();
                                 }
-                                acc.merge(&scratch);
+                                // The first committed plane becomes the
+                                // channel accumulator; later ones merge in.
+                                match &mut acc {
+                                    Some(acc) => {
+                                        acc.merge(plane.as_ref().expect("committed plane"))
+                                    }
+                                    None => acc = plane.take(),
+                                }
                                 stats.intersect.merge(&istats);
                             }
                             Err(fault) => {
@@ -554,7 +568,7 @@ impl CompiledLayer {
                     }
                 }
                 Ok(ChannelOutcome {
-                    acc: Some(acc),
+                    acc,
                     stats,
                     faults,
                     failed: None,
@@ -1189,10 +1203,10 @@ mod tests {
         let faulty = Session::new(compile(&model, &faulty_cfg).unwrap())
             .run(&input)
             .unwrap();
-        assert!(faulty.faults.total_injected() > 0, "campaign must fire");
+        assert!(faulty.faults.injected_total() > 0, "campaign must fire");
         assert_eq!(
-            faulty.faults.total_detected(),
-            faulty.faults.total_injected(),
+            faulty.faults.detected_total(),
+            faulty.faults.injected_total(),
             "every injected fault must be caught by a monitor"
         );
         assert!(faulty.faults.recovered_tiles > 0 || faulty.faults.layer_fallbacks > 0);
@@ -1277,7 +1291,7 @@ mod tests {
             .unwrap();
         assert_eq!(faulty.functional.output, clean.functional.output);
         assert_eq!(faulty.core_reports, clean.core_reports);
-        assert!(faulty.functional.faults.total_injected() > 0);
+        assert!(faulty.functional.faults.injected_total() > 0);
     }
 
     #[test]

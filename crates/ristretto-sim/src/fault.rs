@@ -345,16 +345,6 @@ impl FaultStats {
         }
     }
 
-    /// Total faults injected across all structures.
-    pub fn total_injected(&self) -> u64 {
-        FaultStructure::ALL.iter().map(|&s| self.injected(s)).sum()
-    }
-
-    /// Total faults detected across all structures.
-    pub fn total_detected(&self) -> u64 {
-        FaultStructure::ALL.iter().map(|&s| self.detected(s)).sum()
-    }
-
     /// Records one injected fault, mirrored into the `fault.*` counters.
     pub fn record_injected(&mut self, structure: FaultStructure, count: u64) {
         if count == 0 {
@@ -565,28 +555,29 @@ impl FaultInjector {
         }
     }
 
-    fn site_hash(&self, structure: FaultStructure, site: FaultSite) -> u64 {
+    /// Hashes `(seed, structure, layer, channel, tile, attempt)` once —
+    /// everything of `site` but its item index — so a loop over the items
+    /// of one structure in one tile attempt pays one `splitmix64` per item
+    /// ([`SiteRoll::fires`]) instead of rehashing the constant prefix.
+    /// `site.item` is ignored.
+    pub fn roll(&self, structure: FaultStructure, site: FaultSite) -> SiteRoll {
+        let rate = self.cfg.rate(structure);
+        if rate == 0 {
+            return SiteRoll { prefix: 0, rate };
+        }
         let mut h = splitmix64(self.cfg.seed ^ structure.discriminant());
         h = splitmix64(h ^ site.layer as u64);
         h = splitmix64(h ^ site.channel as u64);
         h = splitmix64(h ^ site.tile as u64);
         h = splitmix64(h ^ site.attempt as u64);
-        splitmix64(h ^ site.item as u64)
+        SiteRoll { prefix: h, rate }
     }
 
     /// Decides whether a fault fires at `site` in `structure`. Returns the
     /// site's entropy word (for bit/action selection) when it does.
+    /// Equivalent to `self.roll(structure, site).fires(site.item)`.
     pub fn decide(&self, structure: FaultStructure, site: FaultSite) -> Option<u64> {
-        let rate = self.cfg.rate(structure);
-        if rate == 0 {
-            return None;
-        }
-        let h = self.site_hash(structure, site);
-        if h % (PPM as u64) < rate as u64 {
-            Some(splitmix64(h))
-        } else {
-            None
-        }
+        self.roll(structure, site).fires(site.item)
     }
 
     /// Flips one value bit of a weight entry: one of the 8 magnitude bits
@@ -617,6 +608,32 @@ impl FaultInjector {
             FifoAction::Drop
         } else {
             FifoAction::Duplicate
+        }
+    }
+}
+
+/// The injection decisions of one structure over the items of one
+/// `(layer, channel, tile, attempt)`, from [`FaultInjector::roll`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SiteRoll {
+    prefix: u64,
+    rate: u32,
+}
+
+impl SiteRoll {
+    /// Whether a fault fires at item `item`; returns the site's entropy
+    /// word when it does. Identical to [`FaultInjector::decide`] on the
+    /// rolled site with `item` filled in.
+    #[inline]
+    pub fn fires(&self, item: usize) -> Option<u64> {
+        if self.rate == 0 {
+            return None;
+        }
+        let h = splitmix64(self.prefix ^ item as u64);
+        if h % (PPM as u64) < self.rate as u64 {
+            Some(splitmix64(h))
+        } else {
+            None
         }
     }
 }
@@ -812,8 +829,8 @@ mod tests {
         s.merge(&t);
         assert_eq!(s.injected(FaultStructure::Fifo), 2);
         assert_eq!(s.injected(FaultStructure::AccumBuffer), 3);
-        assert_eq!(s.total_injected(), 5);
-        assert_eq!(s.total_detected(), 1);
+        assert_eq!(s.injected_total(), 5);
+        assert_eq!(s.detected_total(), 1);
     }
 
     #[test]

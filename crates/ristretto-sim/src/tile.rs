@@ -93,7 +93,7 @@ impl TileSim {
     /// Fault-aware variant of [`TileSim::run`]: Atomulator FIFO entries may
     /// be dropped or duplicated at the configured rate, and the returned
     /// [`FifoCheck`] carries the enqueue-accounting monitor's verdict.
-    /// `site.item` is overwritten with the running delivery ordinal.
+    /// `site.item` is ignored: each delivery's running ordinal is its item.
     ///
     /// With a quiescent injector the report is byte-identical to
     /// [`TileSim::run`] on the same streams.
@@ -122,6 +122,9 @@ impl TileSim {
         }
 
         let mut queues = vec![0usize; self.banks];
+        // One FIFO roll per run: the site prefix is hashed once, each
+        // delivery ordinal then costs one mix.
+        let fifo_roll = fault.map(|(injector, site)| injector.roll(FaultStructure::Fifo, site));
         // Running delivery ordinal; doubles as the per-item fault site and
         // the index folded into the enqueue-accounting digests.
         let mut delivery_idx: u64 = 0;
@@ -171,18 +174,14 @@ impl TileSim {
                     *q = q.saturating_sub(1);
                 }
                 for bank in delivered_this_cycle {
-                    match fault {
+                    match fifo_roll {
                         None => queues[bank] += 1,
-                        Some((injector, site)) => {
+                        Some(roll) => {
                             // What the Atomputer handed the crossbar…
                             check.expected_digest =
                                 fold_delivery(check.expected_digest, delivery_idx, bank as u64);
-                            let fault_site = FaultSite {
-                                item: delivery_idx as usize,
-                                ..site
-                            };
                             // …versus what the FIFO actually enqueued.
-                            match injector.decide(FaultStructure::Fifo, fault_site) {
+                            match roll.fires(delivery_idx as usize) {
                                 None => {
                                     queues[bank] += 1;
                                     check.actual_digest = fold_delivery(

@@ -1,5 +1,5 @@
-//! Property-based tests for the Ristretto simulator: balancing invariants
-//! and cycle-level tile behaviour.
+//! Property-based tests for the Ristretto simulator: balancing invariants,
+//! cycle-level tile behaviour and the fault-site hash.
 
 use atomstream::atom::AtomBits;
 use atomstream::compress::{compress_activations, compress_weights};
@@ -9,6 +9,7 @@ use proptest::prelude::*;
 use qnn::rng::SeededRng;
 use ristretto_sim::balance::{balance, BalanceStrategy, ChannelWorkload};
 use ristretto_sim::config::RistrettoConfig;
+use ristretto_sim::fault::{FaultConfig, FaultInjector, FaultSite, FaultStructure, PPM};
 use ristretto_sim::tile::TileSim;
 
 fn workloads(n: usize, seed: u64) -> Vec<ChannelWorkload> {
@@ -120,5 +121,62 @@ proptest! {
             .collect();
         let a = balance(&w, tiles, 16, BalanceStrategy::WeightActivation);
         prop_assert!((a.utilization() - 1.0).abs() < 1e-9);
+    }
+}
+
+/// The fault-site hash written out in full: six `splitmix64` rounds over
+/// `(seed ^ discriminant, layer, channel, tile, attempt, item)`, a rate
+/// test on the last, and one more round for the entropy word. Every
+/// recorded campaign was rolled with exactly this function.
+fn reference_decide(seed: u64, structure_idx: usize, rate: u32, site: FaultSite) -> Option<u64> {
+    fn splitmix64(mut x: u64) -> u64 {
+        x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^ (x >> 31)
+    }
+    if rate == 0 {
+        return None;
+    }
+    let discriminant = [0x11u64, 0x22, 0x33, 0x44, 0x55][structure_idx];
+    let mut h = splitmix64(seed ^ discriminant);
+    for coord in [
+        site.layer as u64,
+        site.channel as u64,
+        site.tile as u64,
+        site.attempt as u64,
+        site.item as u64,
+    ] {
+        h = splitmix64(h ^ coord);
+    }
+    (h % u64::from(PPM) < u64::from(rate)).then(|| splitmix64(h))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn site_roll_matches_decide_and_the_reference_hash(
+        seed in 0u64..u64::MAX,
+        rate_idx in 0usize..4,
+        layer in 0usize..64,
+        channel in 0usize..1024,
+        tile in 0usize..4096,
+        attempt in 0u32..8,
+        first_item in 0usize..1_000_000,
+    ) {
+        let rate = [0, 1, 120_000, PPM][rate_idx];
+        let injector = FaultInjector::new(FaultConfig::uniform(seed, rate));
+        let site = FaultSite { layer, channel, tile, attempt, item: first_item };
+        for (si, &structure) in FaultStructure::ALL.iter().enumerate() {
+            // The item index is not part of the rolled prefix.
+            let roll = injector.roll(structure, FaultSite { item: usize::MAX, ..site });
+            for item in first_item..first_item + 64 {
+                let at = FaultSite { item, ..site };
+                let fired = roll.fires(item);
+                prop_assert_eq!(fired, injector.decide(structure, at), "{} item {}", structure, item);
+                prop_assert_eq!(fired, reference_decide(seed, si, rate, at), "{} item {}", structure, item);
+            }
+        }
     }
 }

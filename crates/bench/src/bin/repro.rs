@@ -60,10 +60,10 @@
 //! proves the decoded network runs byte-identically to a fresh in-memory
 //! compile at 1 and 4 worker threads.
 //!
-//! `perf-check` measures the self-timed bench suite and gates a small set
-//! of key medians (CSC sparse conv, steady-state streams, per-network
-//! cache-hit load) against a checked-in `BENCH_*.json` baseline with a
-//! generous `--tolerance` ratio — the CI perf-regression gate.
+//! `perf-check` is the same-host perf gate of `bench::perf_gate`: it runs
+//! two prebuilt perfbench binaries (`--baseline`, `--candidate`) in
+//! alternating pairs over every workload of `BENCHMARK.json` and fails
+//! when an end-to-end metric worsens past its bound there, or a run fails.
 //!
 //! `chaos` runs the deterministic fault-injection campaign of
 //! `bench::chaos`: `--campaign <n>` seeded cases, each probing every
@@ -90,10 +90,9 @@ const USAGE: &str = "usage: repro <fig1|fig4|fig12|fig13|fig14|fig15|fig16|fig17
        repro stats-check --golden <path> [--metrics <path>] [--update] [--threads <n>]
        repro diffcheck [--cases <n>] [--seed <s>] [--shrink] [--repro-dir <path>]
        repro chaos [--campaign <n>] [--seed <s>] [--json <path>]
-       repro bench [--quick] [--json <path>] [--threads <n>]
        repro cache <stats|clear|verify> --model-cache <dir>
        repro artifact <save|check> --model-cache <dir> [--quick]
-       repro perf-check --baseline <path> [--tolerance <x>] [--quick] [--json <path>]
+       repro perf-check --baseline <bin> --candidate <bin> [--json <path>]
        repro serve [--clients <n>] [--requests <n>] [--lambda <r>] [--mix <spec>]
                    [--max-batch <n>] [--max-wait <t>] [--queue-cap <n>]
                    [--fleet-cores <n>] [--deadline <t>] [--slo-class <spec>]
@@ -134,7 +133,7 @@ struct Cli {
     batch: usize,
     model_cache: Option<String>,
     baseline: Option<String>,
-    tolerance: f64,
+    candidate: Option<String>,
     cases: u64,
     diff_seed: u64,
     shrink: bool,
@@ -156,8 +155,6 @@ enum Kind {
     /// An unsigned integer that must fit in `width` (its field type's
     /// maximum) and lie within `min..=max`.
     Int { width: u64, min: u64, max: u64 },
-    /// A ratio of at least `min`; NaN is rejected.
-    Ratio { min: f64 },
     /// A `--slo-class` spec, parsed by [`bench::serve_cli::parse_classes`].
     Classes,
 }
@@ -246,12 +243,8 @@ const FLAGS: &[Flag] = &[
     int("--timeout-secs", "a count", "timeout", (U64, 1, U64), ANY),
     text("--model-cache", "a directory", &["batch", "all", "cache", "artifact", "serve"])
         .required_by(&["cache", "artifact"], "dir"),
-    text("--baseline", "a path", &["perf-check"]).required_by(&["perf-check"], "path"),
-    Flag {
-        kind: Kind::Ratio { min: 1.0 },
-        noun: "tolerance",
-        ..text("--tolerance", "a ratio", &["perf-check"])
-    },
+    text("--baseline", "a path", &["perf-check"]).required_by(&["perf-check"], "bin"),
+    text("--candidate", "a path", &["perf-check"]).required_by(&["perf-check"], "bin"),
     text("--golden", "a path", &["stats-check"]).required_by(&["stats-check"], "path"),
     switch("--update", &["stats-check"]),
     int("--batch", "a count", "batch size", (USIZE, 1, USIZE), &["batch", "all"]),
@@ -286,7 +279,6 @@ enum Value {
     Set,
     Text(String),
     Int(u64),
-    Ratio(f64),
     Classes(Vec<ristretto_sim::serve::SloClass>),
 }
 
@@ -314,15 +306,6 @@ impl Flag {
             Kind::Switch => Ok(Value::Set),
             Kind::Text => Ok(Value::Text(value()?.clone())),
             Kind::Classes => bench::serve_cli::parse_classes(value()?).map(Value::Classes),
-            Kind::Ratio { min } => {
-                let v = value()?;
-                let x: f64 = v.parse().map_err(|_| invalid(v))?;
-                // NaN must fail too, so compare in the rejecting direction.
-                if x < min || x.is_nan() {
-                    return Err(format!("{name} must be at least {min:?}"));
-                }
-                Ok(Value::Ratio(x))
-            }
             Kind::Int { width, min, max } => {
                 let v = value()?;
                 let n = v
@@ -454,10 +437,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         batch: int("--batch").map_or(1, |n| n as usize),
         model_cache,
         baseline: text("--baseline"),
-        tolerance: match given.get("--tolerance") {
-            Some(Value::Ratio(x)) => *x,
-            _ => bench::perf_gate::DEFAULT_TOLERANCE,
-        },
+        candidate: text("--candidate"),
         cases: int("--cases").unwrap_or(500),
         diff_seed: int("--seed").unwrap_or(1),
         shrink: set("--shrink"),
@@ -689,9 +669,6 @@ fn main() -> ExitCode {
     if cli.which == "chaos" {
         return chaos_cmd(&cli, &watchdog);
     }
-    if cli.which == "bench" {
-        return bench_cmd(&cli, &watchdog);
-    }
     if cli.which == "cache" {
         return cache_cmd(&cli);
     }
@@ -849,40 +826,6 @@ fn diffcheck_cmd(cli: &Cli, watchdog: &Option<Watchdog>) -> ExitCode {
         "diffcheck: {} cases, 0 divergences (seed {})",
         cli.cases, cli.diff_seed
     );
-    ExitCode::SUCCESS
-}
-
-/// The `bench` subcommand: run the self-timed micro and batch suites of
-/// `bench::microbench` and optionally record the `ristretto-bench/v3` JSON
-/// report (the checked-in benchmark trajectory, see `BENCH_8.json`).
-/// Deliberately *not* part of `repro all`: wall times are machine-bound, so
-/// they would break the byte-identical-across-thread-counts contract of the
-/// experiment suite.
-fn bench_cmd(cli: &Cli, watchdog: &Option<Watchdog>) -> ExitCode {
-    let start = Instant::now();
-    watch(watchdog, "bench suite");
-    let report = bench::microbench::run(cli.quick);
-    if let Some(wd) = watchdog {
-        wd.clear();
-    }
-    eprintln!("[repro] bench: {:.2}s", start.elapsed().as_secs_f64());
-    print!("{}", bench::microbench::render(&report));
-    if let Some(path) = &cli.json_path {
-        let text = match serde_json::to_string_pretty(&report) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("serializing bench report for {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match std::fs::write(path, text) {
-            Ok(()) => eprintln!("wrote bench report to {path}"),
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
     ExitCode::SUCCESS
 }
 
@@ -1059,66 +1002,55 @@ fn artifact_cmd(cli: &Cli, watchdog: &Option<Watchdog>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The `perf-check` subcommand: measure the self-timed bench suite and
-/// gate its key series against a checked-in baseline report.
+/// The `perf-check` subcommand: the same-host A/B of `bench::perf_gate`
+/// between two prebuilt perfbench binaries.
 fn perf_check_cmd(cli: &Cli, watchdog: &Option<Watchdog>) -> ExitCode {
     use bench::perf_gate;
-    let baseline_path = match cli.baseline.as_deref() {
-        Some(p) => p,
-        // Unreachable by construction (parse_args requires --baseline).
-        None => {
-            eprintln!("perf-check requires --baseline <path>\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // Parse the baseline before measuring: a malformed file should fail in
-    // milliseconds, not after the bench suite.
-    let baseline: bench::microbench::BenchReport = match std::fs::read_to_string(baseline_path)
-        .map_err(|e| e.to_string())
-        .and_then(|t| serde_json::from_str(&t).map_err(|e| e.to_string()))
-    {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("cannot read baseline {baseline_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    // parse_args requires both flags for perf-check.
+    let baseline = cli.baseline.as_deref().unwrap_or_default();
+    let candidate = cli.candidate.as_deref().unwrap_or_default();
     let start = Instant::now();
-    watch(watchdog, "perf-check bench suite");
-    let live = bench::microbench::run(cli.quick);
+    let mut progress = |step: &str| {
+        watch(watchdog, step);
+        eprintln!("[repro] {step} ({:.0}s)", start.elapsed().as_secs_f64());
+    };
+    let result = perf_gate::run(
+        std::path::Path::new(baseline),
+        std::path::Path::new(candidate),
+        &mut progress,
+    );
     if let Some(wd) = watchdog {
         wd.clear();
     }
     eprintln!("[repro] perf-check: {:.2}s", start.elapsed().as_secs_f64());
+    let report = match result {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("perf-check FAILED: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    print!("{}", report.render());
     if let Some(path) = &cli.json_path {
-        match serde_json::to_string_pretty(&live) {
+        match serde_json::to_string_pretty(&report) {
             Ok(text) => match std::fs::write(path, text) {
-                Ok(()) => eprintln!("wrote live bench report to {path}"),
+                Ok(()) => eprintln!("wrote perf-check report to {path}"),
                 Err(e) => {
                     eprintln!("failed to write {path}: {e}");
                     return ExitCode::FAILURE;
                 }
             },
             Err(e) => {
-                eprintln!("serializing live bench report for {path}: {e}");
+                eprintln!("serializing perf-check report for {path}: {e}");
                 return ExitCode::FAILURE;
             }
         }
     }
-    match perf_gate::compare(&live, &baseline, cli.tolerance) {
-        Ok(checks) => {
-            print!("{}", perf_gate::render(&checks, cli.tolerance));
-            if checks.iter().all(|c| c.pass) {
-                ExitCode::SUCCESS
-            } else {
-                eprintln!("perf-check FAILED against {baseline_path}");
-                ExitCode::FAILURE
-            }
-        }
-        Err(e) => {
-            eprintln!("perf-check cannot compare against {baseline_path}: {e}");
-            ExitCode::FAILURE
-        }
+    if report.pass() {
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("perf-check FAILED ({candidate} against {baseline}): see the FAIL rows");
+        ExitCode::FAILURE
     }
 }
 
@@ -1381,7 +1313,6 @@ mod tests {
             Kind::Switch => None,
             Kind::Text => Some("x".to_string()),
             Kind::Int { min, .. } => Some(min.to_string()),
-            Kind::Ratio { min } => Some(min.to_string()),
             Kind::Classes => Some("interactive".to_string()),
         }
     }
@@ -1423,13 +1354,14 @@ mod tests {
                 "serve --batch 2",
                 "--batch only applies to `batch` or `all`",
             ),
+            ("perf-check", "perf-check requires --baseline <bin>"),
             (
-                "chaos --tolerance 2",
-                "--tolerance only applies to `perf-check`",
+                "perf-check --baseline b",
+                "perf-check requires --candidate <bin>",
             ),
             (
-                "perf-check --baseline b --tolerance NaN",
-                "--tolerance must be at least 1.0",
+                "chaos --candidate c",
+                "--candidate only applies to `perf-check`",
             ),
             (
                 "serve --brownout 70000",
@@ -1469,7 +1401,11 @@ mod tests {
             (cli.batch, cli.cases, cli.diff_seed, cli.campaign),
             (1, 500, 1, 25)
         );
-        assert_eq!(cli.tolerance, bench::perf_gate::DEFAULT_TOLERANCE);
+        assert_eq!((cli.baseline, cli.candidate), (None, None));
+        // perf-check has no default binaries: both sides must be named.
+        assert!(parse(&["perf-check", "--candidate", "c"])
+            .is_err_and(|e| e == "perf-check requires --baseline <bin>"));
+        assert!(parse(&["perf-check", "--baseline", "b", "--candidate", "c"]).is_ok());
         assert_eq!(cli.threads, None);
         // `quick` follows `--quick`; everything else is the serve default.
         let serve = parse(&["serve"]).unwrap().serve;

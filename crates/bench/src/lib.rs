@@ -2,8 +2,10 @@
 //!
 //! One module per table/figure of the paper's evaluation (§V), each
 //! producing structured rows plus a rendered text table. The `repro`
-//! binary drives them (`repro all`, `repro fig12`, …) and times the hot
-//! path with `repro bench`.
+//! binary drives them (`repro all`, `repro fig12`, …). Host-time
+//! performance is measured by the separate `perfbench` package;
+//! [`perf_gate`] (`repro perf-check`) compares two perfbench builds on one
+//! host.
 //!
 //! Every experiment is deterministic given the shared [`SEED`]. `quick`
 //! mode trims the network list and sweep resolution so the whole suite
@@ -17,7 +19,6 @@ pub mod cache;
 pub mod chaos;
 pub mod diffcheck;
 pub mod experiments;
-pub mod microbench;
 pub mod perf_gate;
 pub mod serve_cli;
 pub mod stats_gate;

@@ -430,57 +430,6 @@ fn chaos_options_are_validated() {
 }
 
 #[test]
-fn bench_quick_writes_schema_stable_json() {
-    let dir = std::env::temp_dir().join(format!("repro_bench_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("bench.json");
-    let out = repro(&["bench", "--quick", "--json", path.to_str().unwrap()]);
-    assert!(
-        out.status.success(),
-        "bench failed:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("csc_streams_steady"), "{text}");
-    let json: serde_json::Value =
-        serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-    assert_eq!(json["schema"], "ristretto-bench/v3");
-    assert_eq!(json["quick"].as_bool(), Some(true));
-    let micro = json["micro"].as_array().expect("micro rows");
-    let names: Vec<&str> = micro.iter().map(|r| r["name"].as_str().unwrap()).collect();
-    assert_eq!(
-        names,
-        [
-            "dense_reference_conv",
-            "csc_sparse_conv",
-            "csc_streams_reference",
-            "csc_streams_cold",
-            "csc_streams_steady",
-        ]
-    );
-    assert!(micro.iter().all(|r| r["median_ns"].as_u64().unwrap() > 0));
-    let batch = json["batch"].as_array().expect("batch rows");
-    assert_eq!(batch.len(), 3);
-    assert!(batch
-        .iter()
-        .all(|b| b["per_image_ms"].as_f64().unwrap() > 0.0));
-    let cache = json["cache"].as_array().expect("cache rows");
-    assert_eq!(cache.len(), 3);
-    for row in cache {
-        assert!(row["compile_ms"].as_f64().unwrap() > 0.0);
-        assert!(row["load_ms"].as_f64().unwrap() > 0.0);
-        assert!(row["artifact_bytes"].as_u64().unwrap() > 0);
-    }
-    let fleet = json["fleet"].as_array().expect("fleet rows");
-    assert_eq!(fleet.len(), 3);
-    for row in fleet {
-        assert!(row["run_ms"].as_f64().unwrap() > 0.0);
-        assert!(row["cores"].as_u64().unwrap() >= 1);
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn watchdog_aborts_hung_steps_and_spares_fast_ones() {
     // A campaign far larger than one second of work trips the watchdog,
     // which exits 124 naming the hung step.

@@ -287,15 +287,12 @@ impl CompiledLayer {
             requant_shift: self.requant_shift,
             out_bits: self.out_bits,
             atom_bits: csc.atom_bits,
-            tile_h: csc.tile_h,
-            tile_w: csc.tile_w,
         };
         let PpuOutput {
             activations,
             values_per_channel,
             atoms_per_channel,
-            ..
-        } = ppu.try_process(conv_out)?;
+        } = ppu.process(conv_out);
         let next = match self.pool {
             Some((kind, window, stride, padding)) => {
                 pool2d(&activations, kind, window, stride, padding)?

@@ -5,9 +5,13 @@
 //! the block COO-2D format for the next layer or DRAM, and (c) counts each
 //! output channel's non-zero atoms with an Atomizer-like scanner — the
 //! statistic the w/a load balancer needs for the *next* layer (§IV-E).
+//!
+//! This module models (a) and (c). The squeeze (b) is modelled where its
+//! output is consumed: the next layer's activation compression
+//! (`atomstream::conv_csc::prepare_activations`, counted as
+//! `compress.act_*`).
 
 use atomstream::atom::AtomBits;
-use qnn::formats::coo::CooFeatureMap;
 use qnn::sparsity::nonzero_atoms;
 use qnn::tensor::{AccTensor3, Tensor3};
 use serde::{Deserialize, Serialize};
@@ -22,20 +26,14 @@ pub struct PostProcessor {
     pub out_bits: u8,
     /// Atom granularity used for the balancing statistics.
     pub atom_bits: AtomBits,
-    /// Tile extents used for the COO-2D compression.
-    pub tile_h: usize,
-    /// Tile width.
-    pub tile_w: usize,
 }
 
-/// Per-channel statistics the PPU hands to the balancer, plus the
-/// compressed output.
+/// The requantized output plus the per-channel statistics the PPU hands
+/// to the balancer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PpuOutput {
     /// The requantized activation tensor (next layer's input).
     pub activations: Tensor3,
-    /// Compressed form (what actually moves to DRAM / the input buffer).
-    pub compressed: CooFeatureMap,
     /// Non-zero values per output channel.
     pub values_per_channel: Vec<u64>,
     /// Non-zero atoms per output channel (the balancer's `T_i` for the
@@ -56,31 +54,17 @@ impl PpuOutput {
 }
 
 impl PostProcessor {
-    /// A PPU for 8-bit outputs with the default tiling.
+    /// A PPU counting 2-bit atoms.
     pub fn new(requant_shift: u32, out_bits: u8) -> Self {
         Self {
             requant_shift,
             out_bits,
             atom_bits: AtomBits::B2,
-            tile_h: 8,
-            tile_w: 8,
         }
     }
 
     /// Processes one layer's accumulated outputs.
-    ///
-    /// # Panics
-    /// Panics when the configured tile extents are zero; use
-    /// [`PostProcessor::try_process`] for a fallible variant.
     pub fn process(&self, acc: &AccTensor3) -> PpuOutput {
-        self.try_process(acc).expect("non-zero tile extents")
-    }
-
-    /// Fallible variant of [`PostProcessor::process`].
-    ///
-    /// # Errors
-    /// Returns an error when the configured COO-2D tile extents are zero.
-    pub fn try_process(&self, acc: &AccTensor3) -> Result<PpuOutput, qnn::error::QnnError> {
         let activations = acc.requantize_relu(self.requant_shift, self.out_bits);
         let (c, _, _) = activations.shape();
         let mut values_per_channel = vec![0u64; c];
@@ -93,13 +77,11 @@ impl PostProcessor {
                 }
             }
         }
-        let compressed = CooFeatureMap::from_tensor(&activations, self.tile_h, self.tile_w)?;
-        Ok(PpuOutput {
+        PpuOutput {
             activations,
-            compressed,
             values_per_channel,
             atoms_per_channel,
-        })
+        }
     }
 }
 
@@ -154,15 +136,6 @@ mod tests {
         assert_eq!(out.activations.channel(0), &[0, 0, 0, 0]);
         assert_eq!(out.activations.channel(1), &[3, 0, 4, 15]);
         assert_eq!(out.values_per_channel, vec![0, 3]);
-    }
-
-    #[test]
-    fn compressed_roundtrips() {
-        let acc = acc_from(&[0, 12, 0, 300, 0, 0, 5, 0], 2, 2, 2);
-        let ppu = PostProcessor::new(0, 8);
-        let out = ppu.process(&acc);
-        assert_eq!(out.compressed.to_tensor(2, 2), out.activations);
-        assert_eq!(out.compressed.count_nonzero() as u64, out.total_values());
     }
 
     #[test]
